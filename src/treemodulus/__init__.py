@@ -1,93 +1,32 @@
 """Exact-arithmetic graph vulnerability and spanning tree modulus."""
 
 from .errors import (
-    CapacityOverflowError,
     DisconnectedGraphError,
     GeneratorError,
     GraphError,
     InvariantViolation,
-    NoFiniteCutError,
     ParseError,
     SizeGuardExceeded,
 )
-from .flow import INFINITE, CutResult, FlowNetwork, min_cut
-from .graph import (
-    Component,
-    Decomposition,
-    EdgeSubset,
-    MultiGraph,
-    bridges,
-    component_count,
-    decompose_after_removal,
-    graphic_rank,
-    min_overlap,
-    parse_edge_list,
-    theta_of_set,
-)
+from .graph import MultiGraph, parse_edge_list
 from .modulus import ModulusResult, PeelRecord, eta_histogram, spanning_tree_modulus
-from .oracle import (
-    brute_min_increment,
-    brute_modulus,
-    brute_theta,
-    count_spanning_trees,
-    enumerate_spanning_trees,
-    verify_modulus,
-)
-from .polymatroid import (
-    BasisResult,
-    IncrementVector,
-    build_aux_network,
-    cunningham_basis,
-    min_tight_increment,
-)
-from .vulnerability import (
-    CriticalSetResult,
-    is_theta_le,
-    theta_candidates,
-    vulnerability,
-)
+from .oracle import verify_modulus
+from .vulnerability import CriticalSetResult, vulnerability
 
 __all__ = [
-    "BasisResult",
-    "CapacityOverflowError",
-    "Component",
     "CriticalSetResult",
-    "CutResult",
-    "Decomposition",
     "DisconnectedGraphError",
-    "EdgeSubset",
-    "FlowNetwork",
     "GeneratorError",
     "GraphError",
-    "INFINITE",
-    "IncrementVector",
     "InvariantViolation",
     "ModulusResult",
     "MultiGraph",
-    "NoFiniteCutError",
     "ParseError",
     "PeelRecord",
     "SizeGuardExceeded",
-    "bridges",
-    "brute_min_increment",
-    "brute_modulus",
-    "brute_theta",
-    "build_aux_network",
-    "component_count",
-    "count_spanning_trees",
-    "cunningham_basis",
-    "decompose_after_removal",
-    "enumerate_spanning_trees",
     "eta_histogram",
-    "graphic_rank",
-    "is_theta_le",
-    "min_cut",
-    "min_overlap",
-    "min_tight_increment",
     "parse_edge_list",
     "spanning_tree_modulus",
-    "theta_candidates",
-    "theta_of_set",
     "verify_modulus",
     "vulnerability",
 ]

@@ -1,7 +1,8 @@
 """Command-line surface: vuln, modulus, generate, bench, stats, check.
 
-Exit codes: 0 ok, 2 parse error, 3 disconnected or trivial input,
-4 size guard / generator cap exceeded, 5 internal invariant violation.
+Exit codes: 0 ok, 2 parse error, unreadable file or usage error,
+3 disconnected or trivial input, 4 size guard / generator cap exceeded,
+5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import generators, oracle
 from .errors import (
@@ -36,6 +39,24 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_GUARD = 4
 EXIT_INVARIANT = 5
+
+
+@dataclass(frozen=True)
+class Family:
+    """A generator family as ``generate`` and ``bench`` use it."""
+
+    build: Callable[[int, int | None], MultiGraph]  # (size, seed) -> graph
+    size_option: str  # the generate option that sets the size
+    min_size: int
+    seeded: bool  # generate requires --seed
+
+
+FAMILIES = {
+    "complete": Family(lambda size, _seed: generators.complete_graph(size), "n", 2, False),
+    "multipartite": Family(lambda size, _seed: generators.multipartite_graph(size), "k", 2, False),
+    "gnp": Family(generators.gnp_graph, "n", 2, True),
+    "geometric": Family(generators.geometric_graph, "n", 2, True),
+}
 
 
 def _frac(value: Fraction) -> str:
@@ -156,23 +177,24 @@ def cmd_modulus(args) -> int:
     return 0
 
 
+def _check_families(parser, names: list[str], sizes: list[int], option: str) -> None:
+    """Usage error unless every family is known and every size suits it."""
+    for name in names:
+        family = FAMILIES.get(name)
+        if family is None:
+            parser.error(f"unknown family {name!r} (choose from {', '.join(FAMILIES)})")
+        for size in sizes:
+            if size < family.min_size:
+                parser.error(f"{name} needs {option} >= {family.min_size}, got {size}")
+
+
 def cmd_generate(args) -> int:
-    family = args.family
-    if family == "complete":
-        g = generators.complete_graph(args.n)
-    elif family == "multipartite":
-        g = generators.multipartite_graph(args.k)
-    elif family == "gnp":
-        if args.seed is None:
-            raise GeneratorError("gnp requires --seed")
-        g = generators.gnp_graph(args.n, args.seed)
-    elif family == "geometric":
-        if args.seed is None:
-            raise GeneratorError("geometric requires --seed")
-        g = generators.geometric_graph(args.n, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(family)
-    _emit(g.to_edge_list_text(), args.out)
+    family = FAMILIES[args.family]
+    size = getattr(args, family.size_option)
+    _check_families(args.parser, [args.family], [size], f"--{family.size_option}")
+    if family.seeded and args.seed is None:
+        raise GeneratorError(f"{args.family} requires --seed")
+    _emit(family.build(size, args.seed).to_edge_list_text(), args.out)
     return 0
 
 
@@ -181,18 +203,6 @@ def _instance_seed(base: int, family_index: int, size: int, rep: int) -> int:
         (base * 1000003 + family_index * 9176 + size * 97 + rep) & ((1 << 64) - 1)
     )
     return mix.next_u64()
-
-
-def _bench_graph(family: str, size: int, seed: int) -> MultiGraph:
-    if family == "complete":
-        return generators.complete_graph(size)
-    if family == "multipartite":
-        return generators.multipartite_graph(size)
-    if family == "gnp":
-        return generators.gnp_graph(size, seed)
-    if family == "geometric":
-        return generators.geometric_graph(size, seed)
-    raise ValueError(family)
 
 
 def fit_loglog_slope(points: list[tuple[int, int]]) -> float | None:
@@ -211,10 +221,9 @@ def fit_loglog_slope(points: list[tuple[int, int]]) -> float | None:
 
 
 def cmd_bench(args) -> int:
-    families = args.families.split(",") if args.families else [
-        "complete", "multipartite", "gnp", "geometric",
-    ]
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
+    families = args.families.split(",") if args.families else list(FAMILIES)
+    sizes = args.sizes or []
+    _check_families(args.parser, families, sizes, "--sizes entries")
     rows = ["family,n,vertices,edges,nanos,result"]
     fits: list[str] = []
     for fidx, family in enumerate(families):
@@ -225,7 +234,7 @@ def cmd_bench(args) -> int:
                 print(f"# skipped {family} n={size} after timeout", file=sys.stderr)
                 continue
             seed = _instance_seed(args.seed, fidx, size, 0)
-            g = _bench_graph(family, size, seed)
+            g = FAMILIES[family].build(size, seed)
             samples = []
             result = None
             for _rep in range(max(1, args.reps)):
@@ -298,6 +307,14 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")] if text else []
+    except ValueError:
+        message = f"expected a comma list of integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treemod",
@@ -317,21 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.set_defaults(func=cmd_modulus)
 
     p_gen = sub.add_parser("generate", help="emit an edge list for a graph family")
-    p_gen.add_argument("family", choices=["complete", "multipartite", "gnp", "geometric"])
+    p_gen.add_argument("family", choices=list(FAMILIES))
     p_gen.add_argument("--n", type=int, default=4, help="vertex count (complete/gnp/geometric)")
     p_gen.add_argument("--k", type=int, default=3, help="part count (multipartite)")
     p_gen.add_argument("--seed", type=int, help="required for gnp and geometric")
     p_gen.add_argument("--out")
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func=cmd_generate, parser=p_gen)
 
     p_bench = sub.add_parser("bench", help="timing runs over the generator families")
     p_bench.add_argument("--families", help="comma list, default all four")
-    p_bench.add_argument("--sizes", help="comma list of n (or k for multipartite)")
+    p_bench.add_argument(
+        "--sizes", type=_int_list, help="comma list of n (or k for multipartite)"
+    )
     p_bench.add_argument("--reps", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--timeout-s", type=float, default=None)
     p_bench.add_argument("--out")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     p_stats = sub.add_parser("stats", help="vertex/edge/bridge/spanning-tree counts")
     p_stats.add_argument("path")
@@ -363,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except GraphError as err:

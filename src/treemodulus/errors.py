@@ -28,13 +28,5 @@ class InvariantViolation(GraphError):
     """An internal exact-arithmetic invariant failed; indicates a bug."""
 
 
-class NoFiniteCutError(GraphError):
-    """Source and sink are joined by infinite-capacity edges only."""
-
-
-class CapacityOverflowError(GraphError):
-    """Flow-network capacities would not fit in 64-bit arithmetic."""
-
-
 class GeneratorError(GraphError):
     """A random-graph generator could not satisfy its constraints."""

@@ -1,69 +1,16 @@
-"""Integer-capacity undirected max-flow / min-cut kernel.
+"""Integer-capacity max-flow / min-cut kernel.
 
-Uses Dinic's algorithm (level graph + blocking flow); any correct integer
-max-flow meets the contract here.  Undirected edges are realised as a pair
-of antiparallel arcs that share capacity, so the external surface stays
-undirected.  "Infinite" capacity is one more than the sum of all finite
-capacities, which no finite cut can reach.
+Uses Dinic's algorithm (level graph + blocking flow) on an arc structure
+built by the caller.  Undirected edges are realised as a pair of
+antiparallel arcs that share capacity; the caller stands in for an
+infinite capacity with a value above the sum of all finite capacities,
+which no finite cut can reach.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Sequence
-
-from .errors import CapacityOverflowError, NoFiniteCutError
-
-INFINITE = None  # sentinel capacity accepted by FlowNetwork
-
-_INT64_MAX = (1 << 63) - 1
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Undirected capacitated network with a designated source and sink.
-
-    ``edges`` is a sequence of (u, v, capacity, tag); capacity is a
-    non-negative int or INFINITE.  Tags are opaque back-references
-    (e.g. which original graph edge a flow edge represents).
-    """
-
-    node_count: int
-    source: int
-    sink: int
-    edges: tuple[tuple[int, int, int | None, object], ...]
-    infinite_value: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        if not (0 <= self.source < self.node_count and 0 <= self.sink < self.node_count):
-            raise ValueError("source/sink out of range")
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-        total = 0
-        for u, v, cap, _tag in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError("self-loops are not allowed in a flow network")
-            if cap is not INFINITE:
-                if cap < 0:
-                    raise ValueError("negative capacity")
-                total += cap
-        if 2 * total > _INT64_MAX:
-            raise CapacityOverflowError(f"total finite capacity {total} too large")
-        object.__setattr__(self, "infinite_value", total + 1)
-
-    def capacity_of(self, edge_id: int) -> int:
-        cap = self.edges[edge_id][2]
-        return self.infinite_value if cap is INFINITE else cap
-
-
-@dataclass(frozen=True)
-class CutResult:
-    value: int
-    source_side: frozenset[int]
-    cut_edges: tuple[int, ...]
 
 
 def dinic(
@@ -148,37 +95,3 @@ def dinic(
                 v = to[last ^ 1]
                 it[v] += 1
 
-
-def min_cut(net: FlowNetwork) -> CutResult:
-    """Minimum source/sink cut by max flow.
-
-    The source side is the set of nodes reachable from the source in the
-    final residual network, which makes the result deterministic.
-    """
-    n = net.node_count
-    # arc 2i goes u->v, arc 2i+1 goes v->u; cap[] holds residuals
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c, _tag in net.edges:
-        c = net.infinite_value if c is INFINITE else c
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(c)
-
-    total_flow, level = dinic(n, net.source, net.sink, to, adj, cap)
-
-    if total_flow >= net.infinite_value:
-        raise NoFiniteCutError("source and sink are joined by infinite edges only")
-
-    side = frozenset(v for v in range(n) if level[v] != -1)
-    cut_edges = tuple(
-        i for i, (u, v, _c, _tag) in enumerate(net.edges) if (u in side) != (v in side)
-    )
-    cut_cap = sum(net.capacity_of(i) for i in cut_edges)
-    if cut_cap != total_flow:
-        raise AssertionError(f"cut {cut_cap} does not certify flow {total_flow}")
-    return CutResult(value=total_flow, source_side=side, cut_edges=cut_edges)

@@ -7,7 +7,7 @@ self-loops are not (they are stripped at parse time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -47,21 +47,11 @@ class MultiGraph:
             inc[b].append(eid)
         return tuple(tuple(v) for v in inc)
 
-    def all_edges(self) -> EdgeSubset:
-        return frozenset(range(self.edge_count))
-
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     def is_connected(self) -> bool:
         return self.vertex_count >= 1 and component_count(self, range(self.edge_count)) == 1
-
-    def to_json_dict(self) -> dict:
-        return {"vertices": self.vertex_count, "edges": [[a, b] for a, b in self.edges]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiGraph":
-        return cls(int(d["vertices"]), tuple((int(a), int(b)) for a, b in d["edges"]))
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.label_of(a)} {self.label_of(b)}" for a, b in self.edges]
@@ -86,7 +76,6 @@ class Component:
 
 @dataclass(frozen=True)
 class Decomposition:
-    removed: EdgeSubset
     components: tuple[Component, ...]
 
 
@@ -96,10 +85,13 @@ def parse_edge_list(text: str | bytes) -> tuple[MultiGraph, list[str]]:
 
     Vertices are densely renumbered in order of first appearance.
     Self-loops are dropped (with a warning); duplicate lines become
-    parallel edges.  Returns (graph, warnings).
+    parallel edges.  Bytes must be UTF-8.  Returns (graph, warnings).
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(text.count(b"\n", 0, err.start) + 1, "not valid UTF-8") from None
     index: dict[str, int] = {}
     labels: list[str] = []
     edges: list[tuple[int, int]] = []
@@ -228,7 +220,7 @@ def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> Decomposit
                 trivial=not parent_ids,
             )
         )
-    return Decomposition(removed=removed, components=tuple(components))
+    return Decomposition(components=tuple(components))
 
 
 def bridges(g: MultiGraph) -> EdgeSubset:

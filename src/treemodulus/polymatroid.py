@@ -12,30 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvariantViolation
-from .flow import INFINITE, FlowNetwork, dinic, min_cut
+from .flow import dinic
 from .graph import EdgeSubset, MultiGraph, component_count, require_connected
-
-
-@dataclass
-class IncrementVector:
-    """Per-edge non-negative integers at scale q (q times a rational point)."""
-
-    values: list[int]
-    scale: int
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def subset_sum(self, subset) -> int:
-        values = self.values
-        return sum(values[e] for e in subset)
-
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.values)
-
-    @classmethod
-    def zeros(cls, edge_count: int, scale: int) -> "IncrementVector":
-        return cls([0] * edge_count, scale)
 
 
 @dataclass(frozen=True)
@@ -44,10 +22,11 @@ class BasisResult:
 
     ``candidate`` is the complement of the accumulated tight set: the edges
     whose entry reached the cap p.  ``total`` is the vector summed over all
-    edges, the quantity the threshold test reads.
+    edges, the quantity the threshold test reads.  ``vector`` holds the
+    per-edge integers at scale q: q times the polymatroid point reached.
     """
 
-    vector: IncrementVector
+    vector: list[int]
     tight_set: EdgeSubset
     candidate: EdgeSubset
     total: int
@@ -65,66 +44,14 @@ class IterationRecord:
     after: tuple[int, ...]
 
 
-def build_aux_network(
-    g: MultiGraph, x_prime: IncrementVector, j: int, q: int
-) -> FlowNetwork:
-    """Auxiliary capacitated network for the increment subproblem at edge j.
-
-    Nodes are the graph vertices plus a source r and sink s.  Every graph
-    edge appears with capacity x'(e); s connects to each vertex with
-    capacity 2q; r connects to the endpoints of j with infinite capacity
-    and to every other vertex v with capacity x' summed over the edges
-    meeting v.
-    """
-    if x_prime.scale != q:
-        raise ValueError(f"increment vector scale {x_prime.scale} != q {q}")
-    n = g.vertex_count
-    r = n
-    s = n + 1
-    values = x_prime.values
-    edges: list[tuple[int, int, int | None, object]] = []
-    for eid, (a, b) in enumerate(g.edges):
-        edges.append((a, b, values[eid], ("edge", eid)))
-    ja, jb = g.edges[j]
-    for v in range(n):
-        if v == ja or v == jb:
-            edges.append((r, v, INFINITE, ("source", v)))
-        else:
-            incident = sum(values[e] for e in g.incidence[v])
-            edges.append((r, v, incident, ("source", v)))
-    for v in range(n):
-        edges.append((s, v, 2 * q, ("sink", v)))
-    return FlowNetwork(node_count=n + 2, source=r, sink=s, edges=tuple(edges))
-
-
-def min_tight_increment(
-    g: MultiGraph, x_prime: IncrementVector, j: int, q: int
-) -> tuple[int, EdgeSubset]:
-    """Largest integer increment of x' at edge j that stays inside the
-    scaled polymatroid, together with a constraint set attaining it.
-
-    Decoded from the min cut: with U the graph vertices on the source side,
-    the tight set is every edge with both endpoints in U, and the increment
-    is cut/2 - x'(E) - q.  Both endpoints of j always land in U, so j itself
-    is in the returned set.
-    """
-    cut = min_cut(build_aux_network(g, x_prime, j, q))
-    if cut.value % 2 != 0:
-        raise InvariantViolation(f"odd cut value {cut.value}")
-    u_side = cut.source_side
-    tight = frozenset(
-        eid for eid, (a, b) in enumerate(g.edges) if a in u_side and b in u_side
-    )
-    epsilon = cut.value // 2 - x_prime.total() - q
-    if epsilon < 0 or j not in tight:
-        raise InvariantViolation(
-            f"bad subproblem decode at edge {j}: epsilon={epsilon}, tight={sorted(tight)}"
-        )
-    return epsilon, tight
-
-
 class _SubproblemSolver:
     """Reusable min-cut workspace for one greedy pass.
+
+    The increment subproblem at edge j is a minimum cut on an auxiliary
+    network: the graph vertices plus a source r and sink s; every graph
+    edge with capacity x'(e); s joined to each vertex with capacity 2q; r
+    joined to the endpoints of j with infinite capacity and to every other
+    vertex v with capacity x' summed over the edges meeting v.
 
     The auxiliary network's topology is fixed for a given graph, only the
     capacities follow the increment vector, so the arc structure is built
@@ -183,7 +110,14 @@ class _SubproblemSolver:
         self.x_total += delta
 
     def solve(self, j: int) -> tuple[int, EdgeSubset]:
-        """Same contract as min_tight_increment for the tracked vector."""
+        """Largest integer increment of the tracked vector at edge j that
+        stays inside the scaled polymatroid, with a constraint set attaining it.
+
+        Decoded from the min cut: with U the graph vertices on the source
+        side, the tight set is every edge with both endpoints in U, and the
+        increment is cut/2 - x'(E) - q.  Both endpoints of j always land in
+        U, so j itself is in the returned set.
+        """
         caps = self.base.copy()
         # strictly larger than the sum of every finite capacity
         infinite = 3 * self.x_total + 2 * self.q * self.n + 1
@@ -231,19 +165,19 @@ def cunningham_basis(
     order = range(m) if edge_order is None else list(edge_order)
     if edge_order is not None and sorted(order) != list(range(m)):
         raise ValueError("edge_order must be a permutation of all edge ids")
-    x = IncrementVector.zeros(m, q)
+    x = [0] * m
     solver = _SubproblemSolver(g, q)
     tight: set[int] = set()
     for j in order:
-        before = x.snapshot() if iteration_hook else ()
+        before = tuple(x) if iteration_hook else ()
         bound, bound_set = solver.solve(j)
-        cap = p - x.values[j]
+        cap = p - x[j]
         if bound < cap:
             tight |= bound_set
             applied = bound
         else:
             applied = cap
-        x.values[j] += applied
+        x[j] += applied
         solver.raise_edge(j, applied)
         if iteration_hook:
             iteration_hook(
@@ -253,13 +187,13 @@ def cunningham_basis(
                     bound=bound,
                     bound_set=bound_set,
                     applied=applied,
-                    after=x.snapshot(),
+                    after=tuple(x),
                 )
             )
     tight_frozen = frozenset(tight)
     candidate = frozenset(range(m)) - tight_frozen
-    total = x.total()
+    total = sum(x)
     rank = g.vertex_count - component_count(g, tight_frozen)
-    if x.subset_sum(tight_frozen) != q * rank:
+    if sum(x[e] for e in tight_frozen) != q * rank:
         raise InvariantViolation("accumulated tight set is not tight at exit")
     return BasisResult(vector=x, tight_set=tight_frozen, candidate=candidate, total=total)

@@ -164,6 +164,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["vuln", "/nonexistent/file.edges"]) == 2
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"0 1\n1 caf\xe9\n")
+        assert main(["modulus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: not valid UTF-8\n"
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["modulus", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "disc.edges"
         path.write_text("0 1\n2 3\n")
@@ -203,3 +215,19 @@ class TestBench:
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "complete", "--n", "1"],
+    ["generate", "gnp", "--n", "1", "--seed", "1"],
+    ["generate", "multipartite", "--k", "1"],
+    ["bench", "--families", "complete", "--sizes", "1"],
+    ["bench", "--families", "nope"],
+    ["bench", "--sizes", "3,x"],
+])
+def test_bad_family_or_size_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: treemod {argv[0]}")

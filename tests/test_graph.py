@@ -66,12 +66,10 @@ class TestParse:
         assert again.vertex_count == karate.vertex_count
         assert again.edges == karate.edges
 
-    def test_json_roundtrip(self, bridge_triangles):
-        d = bridge_triangles.to_json_dict()
-        assert d["vertices"] == 6
-        assert d["edges"][3] == [2, 3]
-        again = MultiGraph.from_json_dict(d)
-        assert again.edges == bridge_triangles.edges
+    def test_non_utf8_reports_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(b"0 1\n1 2\n2 \xff\n")
+        assert err.value.line_number == 3
 
 
 class TestValidation:

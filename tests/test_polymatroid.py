@@ -1,39 +1,79 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treemodulus.errors import DisconnectedGraphError
-from treemodulus.flow import INFINITE
+from treemodulus import polymatroid
+from treemodulus.errors import DisconnectedGraphError, InvariantViolation
+from treemodulus.flow import dinic
 from treemodulus.graph import MultiGraph, graphic_rank
 from treemodulus.oracle import (
     brute_basis_total,
     brute_min_increment,
     polymatroid_violation,
 )
-from treemodulus.polymatroid import (
-    IncrementVector,
-    build_aux_network,
-    cunningham_basis,
-    min_tight_increment,
-)
+from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis
 
 from conftest import connected_multigraphs, graph_from_pairs
 
 
-def caps_by_tag(net):
-    return {tag: (net.infinite_value if cap is INFINITE else cap, cap is INFINITE)
-            for _u, _v, cap, tag in net.edges}
+def solver_at(g, values, q):
+    """Subproblem workspace tracking the increment vector ``values``."""
+    solver = _SubproblemSolver(g, q)
+    for e, value in enumerate(values):
+        solver.raise_edge(e, value)
+    return solver
+
+
+def spy_dinic(monkeypatch):
+    """Record (node_count, source, sink, to, caps) of every dinic call, plus its value."""
+    calls = []
+
+    def spy(node_count, source, sink, to, adj, cap):
+        network = (node_count, source, sink, list(to), cap.copy())
+        value, level = dinic(node_count, source, sink, to, adj, cap)
+        calls.append((*network, value))
+        return value, level
+
+    monkeypatch.setattr(polymatroid, "dinic", spy)
+    return calls
+
+
+def aux_network(g, values, j, q, monkeypatch):
+    """The network solve(j) hands to dinic, as {tag: (capacity, is_infinite)}.
+
+    Tags are ("edge", e), ("source", v) and ("sink", v); the arc endpoints
+    are checked against the tag on the way.  A capacity counts as infinite
+    when it exceeds the sum of every capacity other than the two source arcs
+    to the endpoints of j.
+    """
+    calls = spy_dinic(monkeypatch)
+    try:
+        solver_at(g, values, q).solve(j)
+    except InvariantViolation:
+        pass  # an infeasible vector still builds the network
+    (node_count, source, sink, to, cap, _value), = calls
+    n, m = g.vertex_count, g.edge_count
+    assert (node_count, source, sink) == (n + 2, n, n + 1)
+    tags = [("edge", e) for e in range(m)]
+    tags += [("source", v) for v in range(n)] + [("sink", v) for v in range(n)]
+    assert len(to) == 2 * len(tags)
+    finite = sum(
+        cap[2 * i] for i, (kind, x) in enumerate(tags)
+        if not (kind == "source" and x in g.edges[j])
+    )
+    net = {}
+    for i, (kind, x) in enumerate(tags):
+        ends = g.edges[x] if kind == "edge" else (source if kind == "source" else sink, x)
+        assert (to[2 * i + 1], to[2 * i]) == ends
+        assert cap[2 * i] == cap[2 * i + 1]
+        net[(kind, x)] = (cap[2 * i], cap[2 * i] > finite)
+    return net
 
 
 class TestBuildAuxNetwork:
-    def test_triangle_zero_vector(self, triangle):
-        net = build_aux_network(triangle, IncrementVector.zeros(3, 3), 0, 3)
-        assert net.node_count == 5
-        caps = caps_by_tag(net)
+    def test_triangle_zero_vector(self, triangle, monkeypatch):
+        caps = aux_network(triangle, [0, 0, 0], 0, 3, monkeypatch)
         for v in range(3):
-            assert caps[("sink", v)] == (caps[("sink", v)][0], False)
-            assert caps[("sink", v)][0] == 6
+            assert caps[("sink", v)] == (6, False)
         # j = edge 0 joins vertices 0 and 1
         assert caps[("source", 0)][1] is True
         assert caps[("source", 1)][1] is True
@@ -41,52 +81,46 @@ class TestBuildAuxNetwork:
         for e in range(3):
             assert caps[("edge", e)] == (0, False)
 
-    def test_single_edge_unit(self):
+    def test_single_edge_unit(self, monkeypatch):
         g = graph_from_pairs(2, [(0, 1)])
-        net = build_aux_network(g, IncrementVector([1], 1), 0, 1)
-        caps = caps_by_tag(net)
+        caps = aux_network(g, [1], 0, 1, monkeypatch)
         assert caps[("sink", 0)][0] == 2 and caps[("sink", 1)][0] == 2
         assert caps[("source", 0)][1] and caps[("source", 1)][1]
         assert caps[("edge", 0)] == (1, False)
 
-    def test_k4_zero_vector(self, k4):
-        net = build_aux_network(k4, IncrementVector.zeros(6, 2), 0, 2)
-        caps = caps_by_tag(net)
+    def test_k4_zero_vector(self, k4, monkeypatch):
+        caps = aux_network(k4, [0] * 6, 0, 2, monkeypatch)
         assert sum(1 for e in range(6) if caps[("edge", e)] == (0, False)) == 6
-        assert sum(1 for v in range(4) if caps[("sink", v)][0] == 4) == 4
+        assert sum(1 for v in range(4) if caps[("sink", v)] == (4, False)) == 4
         infinite = [v for v in range(4) if caps[("source", v)][1]]
-        zero = [v for v in range(4) if not caps[("source", v)][1]]
-        assert len(infinite) == 2 and len(zero) == 2
-        assert all(caps[("source", v)][0] == net.infinite_value for v in infinite)
-        assert all(caps[("source", v)][0] == 0 for v in zero)
+        zero = [v for v in range(4) if caps[("source", v)] == (0, False)]
+        assert infinite == [0, 1] and zero == [2, 3]
 
-    def test_scale_mismatch_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            build_aux_network(triangle, IncrementVector.zeros(3, 2), 0, 3)
+    def test_incident_sums_on_source_arcs(self, triangle, monkeypatch):
+        # r joins each vertex off j with x' summed over the edges meeting it
+        caps = aux_network(triangle, [2, 1, 0], 1, 3, monkeypatch)
+        assert caps[("source", 0)] == (2, False)
+        assert [caps[("edge", e)][0] for e in range(3)] == [2, 1, 0]
 
 
 class TestMinTightIncrement:
     def test_triangle_zero(self, triangle):
-        eps, tight = min_tight_increment(triangle, IncrementVector.zeros(3, 3), 0, 3)
-        assert (eps, tight) == (3, frozenset({0}))
+        assert solver_at(triangle, [0, 0, 0], 3).solve(0) == (3, frozenset({0}))
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
-        eps, tight = min_tight_increment(g, IncrementVector.zeros(1, 5), 0, 5)
-        assert (eps, tight) == (5, frozenset({0}))
+        assert solver_at(g, [0], 5).solve(0) == (5, frozenset({0}))
 
     def test_triangle_partial(self, triangle):
-        eps, tight = min_tight_increment(triangle, IncrementVector([2, 2, 0], 3), 2, 3)
-        assert (eps, tight) == (2, frozenset({0, 1, 2}))
+        assert solver_at(triangle, [2, 2, 0], 3).solve(2) == (2, frozenset({0, 1, 2}))
 
     def test_agrees_with_brute_force_examples(self, triangle):
         for values, j, q in [([0, 0, 0], 0, 3), ([2, 2, 0], 2, 3), ([1, 0, 1], 1, 2)]:
-            got = min_tight_increment(triangle, IncrementVector(list(values), q), j, q)
+            eps, tight = solver_at(triangle, values, q).solve(j)
             want_eps, _ = brute_min_increment(triangle, values, j, q)
-            assert got[0] == want_eps
+            assert eps == want_eps
             # the returned set need not equal the brute argmin, but must be
             # tight at the same value and contain j
-            eps, tight = got
             assert j in tight
             assert q * graphic_rank(triangle, tight) - sum(values[e] for e in tight) == eps
 
@@ -94,20 +128,20 @@ class TestMinTightIncrement:
 class TestCunninghamBasis:
     def test_triangle_2_3(self, triangle):
         res = cunningham_basis(triangle, 2, 3)
-        assert res.vector.values == [2, 2, 2]
+        assert res.vector == [2, 2, 2]
         assert res.total == 6 == 3 * (3 - 1)
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_triangle_5_9(self, triangle):
         res = cunningham_basis(triangle, 5, 9)
-        assert res.vector.values == [5, 5, 5]
+        assert res.vector == [5, 5, 5]
         assert res.total == 15 < 18
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
         res = cunningham_basis(g, 1, 1)
-        assert res.vector.values == [1]
+        assert res.vector == [1]
         assert res.total == 1
         assert res.candidate == frozenset({0})
 
@@ -124,12 +158,12 @@ class TestCunninghamBasis:
         for p, q in [(1, 2), (2, 3), (1, 1), (3, 4)]:
             res = cunningham_basis(bridge_triangles, p, q)
             for e in res.candidate:
-                assert res.vector.values[e] == p
+                assert res.vector[e] == p
 
     def test_tightness_at_exit(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (5, 7)]:
             res = cunningham_basis(bridge_triangles, p, q)
-            got = res.vector.subset_sum(res.tight_set)
+            got = sum(res.vector[e] for e in res.tight_set)
             assert got == q * graphic_rank(bridge_triangles, res.tight_set)
 
 
@@ -165,20 +199,19 @@ def test_basis_total_law_and_order_invariance(g, p, q, rnd):
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6),
-       st.data())
+       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
-def test_subproblem_matches_brute_force_mid_run(g, p, q, data):
+def test_subproblem_matches_brute_force_mid_run(g, p, q):
     records = []
     cunningham_basis(g, p, q, iteration_hook=records.append)
-    record = records[data.draw(st.integers(min_value=0, max_value=len(records) - 1))]
-    eps, argmin = brute_min_increment(g, record.before, record.edge, q)
-    assert record.bound == eps
-    # returned constraint set attains the same slack
-    slack = q * graphic_rank(g, record.bound_set) - sum(
-        record.before[e] for e in record.bound_set
-    )
-    assert slack == eps
+    for record in records:
+        eps, _argmin = brute_min_increment(g, record.before, record.edge, q)
+        assert record.bound == eps
+        # returned constraint set attains the same slack
+        slack = q * graphic_rank(g, record.bound_set) - sum(
+            record.before[e] for e in record.bound_set
+        )
+        assert slack == eps
 
 
 def test_edge_order_must_be_permutation(triangle):
@@ -187,30 +220,18 @@ def test_edge_order_must_be_permutation(triangle):
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_workspace_solver_matches_one_shot_path(g, p, q):
-    # the greedy pass uses a reusable capacity workspace; every one of its
-    # subproblem answers must equal the standalone network construction
-    records = []
-    cunningham_basis(g, p, q, iteration_hook=records.append)
-    for record in records:
-        vec = IncrementVector(list(record.before), q)
-        eps, tight = min_tight_increment(g, vec, record.edge, q)
-        assert eps == record.bound
-        assert tight == record.bound_set
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=4),
        st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=40, deadline=None)
 def test_subproblem_cut_value_is_always_even(g, q, data):
-    from treemodulus.flow import min_cut
-
     j = data.draw(st.integers(min_value=0, max_value=g.edge_count - 1))
     values = [data.draw(st.integers(min_value=0, max_value=q)) for _ in range(g.edge_count)]
     # parity is structural (every cut is 2(x'(E) - x'(E(U))) + 2q|U|), so it
     # must hold whether or not the vector is feasible
-    vec = IncrementVector(values, q)
-    cut = min_cut(build_aux_network(g, vec, j, q))
-    assert cut.value % 2 == 0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_dinic(monkeypatch)
+        try:
+            solver_at(g, values, q).solve(j)
+        except InvariantViolation as err:
+            assert "odd" not in str(err)
+    (*_network, value), = calls
+    assert value % 2 == 0

@@ -49,8 +49,7 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
         sub, root_ids, parent_idx = queue.popleft()
         if len(trace) >= m:
             raise InvariantViolation("peeling did not terminate within |E| rounds")
-        bound = trace[parent_idx].theta if parent_idx >= 0 else None
-        found = vulnerability(sub, upper_bound=bound)
+        found = vulnerability(sub)
         if parent_idx >= 0 and found.theta > trace[parent_idx].theta:
             raise InvariantViolation(
                 f"component vulnerability {found.theta} exceeds parent {trace[parent_idx].theta}"

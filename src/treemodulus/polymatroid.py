@@ -9,7 +9,6 @@ a given edge) is solved as a minimum cut on an auxiliary network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .errors import InvariantViolation
 from .flow import dinic
@@ -30,18 +29,6 @@ class BasisResult:
     tight_set: EdgeSubset
     candidate: EdgeSubset
     total: int
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Hook payload emitted after each edge visit (test instrumentation)."""
-
-    edge: int
-    before: tuple[int, ...]
-    bound: int
-    bound_set: EdgeSubset
-    applied: int
-    after: tuple[int, ...]
 
 
 class _SubproblemSolver:
@@ -143,14 +130,7 @@ class _SubproblemSolver:
         return epsilon, tight
 
 
-def cunningham_basis(
-    g: MultiGraph,
-    p: int,
-    q: int,
-    *,
-    edge_order: Sequence[int] | None = None,
-    iteration_hook: Callable[[IterationRecord], None] | None = None,
-) -> BasisResult:
+def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     """One greedy pass at target rate p/q, visiting each edge once.
 
     Every edge j is raised by min(subproblem increment, p - x'(j)); the
@@ -162,14 +142,10 @@ def cunningham_basis(
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     m = g.edge_count
-    order = range(m) if edge_order is None else list(edge_order)
-    if edge_order is not None and sorted(order) != list(range(m)):
-        raise ValueError("edge_order must be a permutation of all edge ids")
     x = [0] * m
     solver = _SubproblemSolver(g, q)
     tight: set[int] = set()
-    for j in order:
-        before = tuple(x) if iteration_hook else ()
+    for j in range(m):
         bound, bound_set = solver.solve(j)
         cap = p - x[j]
         if bound < cap:
@@ -179,17 +155,6 @@ def cunningham_basis(
             applied = cap
         x[j] += applied
         solver.raise_edge(j, applied)
-        if iteration_hook:
-            iteration_hook(
-                IterationRecord(
-                    edge=j,
-                    before=before,
-                    bound=bound,
-                    bound_set=bound_set,
-                    applied=applied,
-                    after=tuple(x),
-                )
-            )
     tight_frozen = frozenset(tight)
     candidate = frozenset(range(m)) - tight_frozen
     total = sum(x)

@@ -1,17 +1,62 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
 from treemodulus.graph import MultiGraph, parse_edge_list
+from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def graph_from_pairs(n, pairs):
     return MultiGraph(n, tuple(tuple(e) for e in pairs))
+
+
+class PassStep(NamedTuple):
+    """One edge visit of a greedy pass; vectors are x' at scale q."""
+
+    edge: int
+    before: list[int]
+    bound: int
+    bound_set: frozenset[int]
+    applied: int
+    after: list[int]
+
+
+def record_greedy_pass(g, p, q):
+    """Run cunningham_basis(g, p, q) and return (result, its PassStep per edge).
+
+    Spies on the solver: solve(j) gives the edge, its increment bound and
+    constraint set, raise_edge the applied increment, and x' is read from
+    the capacities of the graph-edge arcs, which the solver keeps equal to
+    the tracked vector.
+    """
+    steps = []
+    solve, raise_edge = _SubproblemSolver.solve, _SubproblemSolver.raise_edge
+
+    def edge_vector(solver):
+        return solver.base[0 : 2 * solver.m : 2]
+
+    def spy_solve(solver, j):
+        before = edge_vector(solver)
+        bound, bound_set = solve(solver, j)
+        steps.append([j, before, bound, bound_set])
+        return bound, bound_set
+
+    def spy_raise_edge(solver, edge, delta):
+        raise_edge(solver, edge, delta)
+        assert steps[-1][0] == edge
+        steps[-1] = PassStep(*steps[-1], delta, edge_vector(solver))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_SubproblemSolver, "solve", spy_solve)
+        monkeypatch.setattr(_SubproblemSolver, "raise_edge", spy_raise_edge)
+        result = cunningham_basis(g, p, q)
+    return result, steps
 
 
 @pytest.fixture

@@ -29,6 +29,8 @@ from treemodulus.vulnerability import vulnerability
 
 import sys
 
+from conftest import record_greedy_pass
+
 FIXTURES = Path(__file__).parent / "fixtures"
 KARATE = FIXTURES / "karate.edges"
 CELEGANS = FIXTURES / "celegans.edges"
@@ -122,12 +124,11 @@ def test_criterion_3_oracle_equivalence(corpus, capsys):
         assert modulus_result.eta == reference.eta, name
         assert modulus_result.modulus == reference.modulus, name
         # a randomized subproblem probe drawn from a real mid-run state
-        records = []
         p, q = 1 + rng.below(4), 1 + rng.below(6)
-        cunningham_basis(g, p, q, iteration_hook=records.append)
-        record = records[rng.below(len(records))]
-        eps, _argmin = brute_min_increment(g, list(record.before), record.edge, q)
-        assert record.bound == eps, name
+        _res, steps = record_greedy_pass(g, p, q)
+        step = steps[rng.below(len(steps))]
+        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
+        assert step.bound == eps, name
         probes += 1
     elapsed = time.perf_counter() - start
     with capsys.disabled():

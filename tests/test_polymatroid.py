@@ -12,7 +12,7 @@ from treemodulus.oracle import (
 )
 from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis
 
-from conftest import connected_multigraphs, graph_from_pairs
+from conftest import connected_multigraphs, graph_from_pairs, record_greedy_pass
 
 
 def solver_at(g, values, q):
@@ -171,17 +171,13 @@ class TestCunninghamBasis:
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_feasible_throughout_and_monotone(g, p, q):
-    snapshots = []
-
-    def hook(record):
-        snapshots.append(record)
-
-    cunningham_basis(g, p, q, iteration_hook=hook)
-    assert len(snapshots) == g.edge_count
-    for record in snapshots:
-        assert all(x2 >= x1 for x1, x2 in zip(record.before, record.after))
-        assert polymatroid_violation(g, record.after, q) is None
-        assert record.edge in record.bound_set
+    res, steps = record_greedy_pass(g, p, q)
+    assert [step.edge for step in steps] == list(range(g.edge_count))
+    for step in steps:
+        assert all(x2 >= x1 for x1, x2 in zip(step.before, step.after))
+        assert polymatroid_violation(g, step.after, q) is None
+        assert step.edge in step.bound_set
+    assert steps[-1].after == res.vector
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
@@ -192,9 +188,11 @@ def test_basis_total_law_and_order_invariance(g, p, q, rnd):
     expected = brute_basis_total(g, p, q)
     res = cunningham_basis(g, p, q)
     assert res.total == expected
-    order = list(range(g.edge_count))
-    rnd.shuffle(order)
-    res2 = cunningham_basis(g, p, q, edge_order=order)
+    # the pass visits edges in id order, so permuting the edge tuple
+    # permutes the visit order
+    edges = list(g.edges)
+    rnd.shuffle(edges)
+    res2 = cunningham_basis(MultiGraph(g.vertex_count, tuple(edges)), p, q)
     assert res2.total == expected
 
 
@@ -202,21 +200,16 @@ def test_basis_total_law_and_order_invariance(g, p, q, rnd):
        st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_subproblem_matches_brute_force_mid_run(g, p, q):
-    records = []
-    cunningham_basis(g, p, q, iteration_hook=records.append)
-    for record in records:
-        eps, _argmin = brute_min_increment(g, record.before, record.edge, q)
-        assert record.bound == eps
+    _res, steps = record_greedy_pass(g, p, q)
+    assert len(steps) == g.edge_count
+    for step in steps:
+        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
+        assert step.bound == eps
         # returned constraint set attains the same slack
-        slack = q * graphic_rank(g, record.bound_set) - sum(
-            record.before[e] for e in record.bound_set
+        slack = q * graphic_rank(g, step.bound_set) - sum(
+            step.before[e] for e in step.bound_set
         )
         assert slack == eps
-
-
-def test_edge_order_must_be_permutation(triangle):
-    with pytest.raises(ValueError):
-        cunningham_basis(triangle, 1, 2, edge_order=[0, 1])
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),

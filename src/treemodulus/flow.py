@@ -23,9 +23,17 @@ def dinic(
 ) -> tuple[int, list[int]]:
     """Max flow on an arc structure where arc a and arc a^1 are reverses.
 
-    ``cap`` holds residual capacities and is consumed in place.  Returns the
-    flow value and the final BFS levels (-1 marks nodes unreachable from the
-    source in the residual network, i.e. the sink side of a minimum cut).
+    ``cap`` holds residual capacities and is updated in place.  It may
+    already carry a feasible flow; Dinic then augments from there, and the
+    returned value is the flow added on top of it.  Returns that value and
+    the final BFS levels (-1 marks nodes unreachable from the source in the
+    residual network, i.e. the sink side of a minimum cut).  Every maximum
+    flow leaves the same reachable set, the minimal minimum cut, so the
+    levels' -1 pattern does not depend on the flow passed in.
+
+    Each phase's BFS stops once the sink has a level: no other node at that
+    level lies on a shortest path.  The last, failing BFS labels everything
+    reachable.
     """
     n = node_count
     level = [-1] * n
@@ -47,6 +55,8 @@ def dinic(
                 if cap[a] > 0 and level[w] == -1:
                     level[w] = next_level
                     push(w)
+            if level[sink] != -1:
+                break
         if level[sink] == -1:
             return total_flow, level
 

@@ -3,7 +3,9 @@
 For a target rate p/q the greedy pass keeps a per-edge integer vector that
 is q times a polymatroid point, raising each edge in turn by the largest
 feasible increment.  The increment subproblem (tightest constraint through
-a given edge) is solved as a minimum cut on an auxiliary network.
+a given edge) is solved as a minimum cut on an auxiliary network; one
+residual array serves the whole pass, and each cut starts from the maximum
+flow the previous one left behind.
 """
 
 from __future__ import annotations
@@ -32,19 +34,26 @@ class BasisResult:
 
 
 class _SubproblemSolver:
-    """Reusable min-cut workspace for one greedy pass.
+    """Min-cut workspace for one greedy pass, carrying its flow from cut to cut.
 
     The increment subproblem at edge j is a minimum cut on an auxiliary
     network: the graph vertices plus a source r and sink s; every graph
     edge with capacity x'(e); s joined to each vertex with capacity 2q; r
     joined to the endpoints of j with infinite capacity and to every other
-    vertex v with capacity x' summed over the edges meeting v.
+    vertex v with capacity x'(δ(v)), x' summed over the edges meeting v.
 
-    The auxiliary network's topology is fixed for a given graph, only the
-    capacities follow the increment vector, so the arc structure is built
-    once and each solve works on a copied capacity array.  Flow edge layout:
-    [0, m) original edges, [m, m+n) source-to-vertex, [m+n, m+2n)
-    sink-to-vertex; flow edge i owns arcs 2i and 2i+1.
+    The auxiliary network's topology is fixed for a given graph and only the
+    capacities follow the increment vector, so the arc structure and one
+    residual array serve the whole pass.  ``raise_edge`` widens a graph edge
+    and keeps its flow; ``solve`` re-routes the terminal arcs around the
+    carried graph flow and lets ``dinic`` augment from there, so each cut
+    starts from the previous cut's maximum flow (the warm start of
+    parametric max-flow: Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18,
+    1989).  Every maximum flow leaves the same source side reachable in its
+    residual network, the minimal minimum cut, so the answers do not depend
+    on the flow carried in.  Flow edge layout: [0, m) original edges,
+    [m, m+n) source-to-vertex, [m+n, m+2n) sink-to-vertex; flow edge i owns
+    arcs 2i and 2i+1, whose residuals sum to twice its capacity.
     """
 
     def __init__(self, g: MultiGraph, q: int):
@@ -74,26 +83,29 @@ class _SubproblemSolver:
             add_arc_pair(self.sink, v)
         self.to = to
         self.adj = adj
-        base = [0] * len(to)
+        # zero flow at x' = 0: only the sink arcs have capacity
+        cap = [0] * len(to)
         for v in range(n):
             a = 2 * (m + n + v)
-            base[a] = base[a + 1] = 2 * q
-        self.base = base
+            cap[a] = cap[a + 1] = 2 * q
+        self.cap = cap
+        self.incident = [0] * n  # x'(δ(v))
+        self.stale: list[int] = []
+        self.flow = 0  # value of the carried flow
         self.x_total = 0
 
     def raise_edge(self, edge: int, delta: int) -> None:
-        """Reflect x'(edge) += delta in the capacity template."""
+        """Reflect x'(edge) += delta; the flow carried on the edge stays feasible."""
         if delta == 0:
             return
-        base = self.base
+        cap = self.cap
         a = 2 * edge
-        base[a] += delta
-        base[a + 1] += delta
+        cap[a] += delta
+        cap[a + 1] += delta
         u, v = self.g.edges[edge]
-        for vertex in (u, v):
-            a = 2 * (self.m + vertex)
-            base[a] += delta
-            base[a + 1] += delta
+        self.incident[u] += delta
+        self.incident[v] += delta
+        self.stale += (u, v)
         self.x_total += delta
 
     def solve(self, j: int) -> tuple[int, EdgeSubset]:
@@ -104,19 +116,52 @@ class _SubproblemSolver:
         side, the tight set is every edge with both endpoints in U, and the
         increment is cut/2 - x'(E) - q.  Both endpoints of j always land in
         U, so j itself is in the returned set.
+
+        The carried flow leaves each vertex v a net graph outflow b(v), read
+        off its terminal arcs as (flow from r) - (flow to s).  The terminal
+        arcs are set to send min(2q, c_v - b(v)) to s and that plus b(v)
+        from r, c_v being v's source capacity; b(v) lies in
+        [-2q, x'(δ(v))], so this flow is feasible.  The previous maximum
+        flow saturates one terminal arc of every vertex, which is that
+        setting already, so only the ends of j and the vertices whose c_v
+        changed since (``stale``: the ends of raised edges and of the
+        previous j) are re-set.
         """
-        caps = self.base.copy()
+        cap = self.cap
+        m, n = self.m, self.n
+        two_q = 2 * self.q
         # strictly larger than the sum of every finite capacity
-        infinite = 3 * self.x_total + 2 * self.q * self.n + 1
+        infinite = 3 * self.x_total + two_q * n + 1
         ja, jb = self.g.edges[j]
-        for vertex in (ja, jb):
-            a = 2 * (self.m + vertex)
-            caps[a] = caps[a + 1] = infinite
-        value, level = dinic(self.n + 2, self.source, self.sink, self.to, self.adj, caps)
+        incident = self.incident
+        flow = self.flow
+        for v in {*self.stale, ja, jb}:
+            a = 2 * (m + v)  # source -> v
+            b = 2 * (m + n + v) + 1  # v -> sink
+            to_sink = (cap[b - 1] - cap[b]) // 2
+            outflow = (cap[a + 1] - cap[a]) // 2 - to_sink
+            flow -= to_sink
+            c = infinite if v == ja or v == jb else incident[v]
+            to_sink = min(two_q, c - outflow)
+            from_source = to_sink + outflow
+            if not (0 <= to_sink <= two_q and 0 <= from_source <= c):
+                raise InvariantViolation(
+                    f"infeasible carried flow at vertex {v}: "
+                    f"source arc {from_source}/{c}, sink arc {to_sink}/{two_q}"
+                )
+            cap[a] = c - from_source
+            cap[a + 1] = c + from_source
+            cap[b - 1] = two_q + to_sink
+            cap[b] = two_q - to_sink
+            flow += to_sink
+        self.stale = [ja, jb]
+        value, level = dinic(n + 2, self.source, self.sink, self.to, self.adj, cap)
+        value += flow
+        self.flow = value
         if value % 2 != 0:
             raise InvariantViolation(f"odd cut value {value}")
-        u_side = [False] * self.n
-        for v in range(self.n):
+        u_side = [False] * n
+        for v in range(n):
             if level[v] != -1:
                 u_side[v] = True
         tight = frozenset(

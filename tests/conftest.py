@@ -32,14 +32,16 @@ def record_greedy_pass(g, p, q):
 
     Spies on the solver: solve(j) gives the edge, its increment bound and
     constraint set, raise_edge the applied increment, and x' is read from
-    the capacities of the graph-edge arcs, which the solver keeps equal to
-    the tracked vector.
+    the capacities of the graph edges, which the solver keeps equal to the
+    tracked vector: half of each arc pair's residual sum, whatever flow the
+    pair carries.
     """
     steps = []
     solve, raise_edge = _SubproblemSolver.solve, _SubproblemSolver.raise_edge
 
     def edge_vector(solver):
-        return solver.base[0 : 2 * solver.m : 2]
+        cap = solver.cap
+        return [(cap[a] + cap[a + 1]) // 2 for a in range(0, 2 * solver.m, 2)]
 
     def spy_solve(solver, j):
         before = edge_vector(solver)

@@ -97,6 +97,14 @@ class TestModulus:
         assert main(["modulus", triangle_file, "--format", "json", "--out", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["modulus"] == {"num": 3, "den": 4}
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv", "dot"])
+    def test_karate_golden(self, fmt, capsys):
+        # every output, peel trace included, stays byte-identical to the
+        # committed karate.modulus.* files
+        assert main(["modulus", str(FIXTURES / "karate.edges"), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (FIXTURES / f"karate.modulus.{fmt}").read_bytes()
+
 
 class TestGenerate:
     def test_complete(self, capsys):

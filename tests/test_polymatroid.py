@@ -23,14 +23,42 @@ def solver_at(g, values, q):
     return solver
 
 
+def handed_flow(node_count, source, sink, to, cap):
+    """Check the flow ``cap`` carries into dinic and return its value.
+
+    Flow edge i owns arcs 2i and 2i+1, whose residuals are c - f and c + f
+    for its capacity c and its flow f along arc 2i.  The flow must keep
+    |f| <= c on every pair, be conserved at every node but the source and
+    the sink, and leave no source-v-sink path with room on both arcs.
+    """
+    inflow = [0] * node_count
+    for a in range(0, len(cap), 2):
+        assert cap[a] >= 0 and cap[a + 1] >= 0
+        assert (cap[a + 1] - cap[a]) % 2 == 0
+        f = (cap[a + 1] - cap[a]) // 2
+        inflow[to[a]] += f
+        inflow[to[a + 1]] -= f
+    assert all(inflow[v] == 0 for v in range(node_count) if v not in (source, sink))
+    assert inflow[sink] == -inflow[source] >= 0
+    from_source = {to[a]: cap[a] for a in range(len(to)) if to[a ^ 1] == source}
+    into_sink = {to[a ^ 1]: cap[a] for a in range(len(to)) if to[a] == sink}
+    assert all(min(room, into_sink.get(v, 0)) == 0 for v, room in from_source.items())
+    return inflow[sink]
+
+
 def spy_dinic(monkeypatch):
-    """Record (node_count, source, sink, to, caps) of every dinic call, plus its value."""
+    """Record (node_count, source, sink, to, caps, cut value) of every dinic call.
+
+    caps is the residual array as handed in, and the cut value is the flow
+    it carries into the sink plus what dinic augments.
+    """
     calls = []
 
     def spy(node_count, source, sink, to, adj, cap):
         network = (node_count, source, sink, list(to), cap.copy())
+        carried = handed_flow(*network)
         value, level = dinic(node_count, source, sink, to, adj, cap)
-        calls.append((*network, value))
+        calls.append((*network, carried + value))
         return value, level
 
     monkeypatch.setattr(polymatroid, "dinic", spy)
@@ -41,9 +69,10 @@ def aux_network(g, values, j, q, monkeypatch):
     """The network solve(j) hands to dinic, as {tag: (capacity, is_infinite)}.
 
     Tags are ("edge", e), ("source", v) and ("sink", v); the arc endpoints
-    are checked against the tag on the way.  A capacity counts as infinite
-    when it exceeds the sum of every capacity other than the two source arcs
-    to the endpoints of j.
+    are checked against the tag on the way, and each capacity is read as
+    half its arc pair's residual sum.  A capacity counts as infinite when it
+    exceeds the sum of every capacity other than the two source arcs to the
+    endpoints of j.
     """
     calls = spy_dinic(monkeypatch)
     try:
@@ -56,16 +85,16 @@ def aux_network(g, values, j, q, monkeypatch):
     tags = [("edge", e) for e in range(m)]
     tags += [("source", v) for v in range(n)] + [("sink", v) for v in range(n)]
     assert len(to) == 2 * len(tags)
+    capacity = [(cap[2 * i] + cap[2 * i + 1]) // 2 for i in range(len(tags))]
     finite = sum(
-        cap[2 * i] for i, (kind, x) in enumerate(tags)
+        capacity[i] for i, (kind, x) in enumerate(tags)
         if not (kind == "source" and x in g.edges[j])
     )
     net = {}
     for i, (kind, x) in enumerate(tags):
         ends = g.edges[x] if kind == "edge" else (source if kind == "source" else sink, x)
         assert (to[2 * i + 1], to[2 * i]) == ends
-        assert cap[2 * i] == cap[2 * i + 1]
-        net[(kind, x)] = (cap[2 * i], cap[2 * i] > finite)
+        net[(kind, x)] = (capacity[i], capacity[i] > finite)
     return net
 
 
@@ -228,3 +257,28 @@ def test_subproblem_cut_value_is_always_even(g, q, data):
             assert "odd" not in str(err)
     (*_network, value), = calls
     assert value % 2 == 0
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_warm_solve_matches_cold_solve(g, p, q):
+    # each solve of a pass starts from the flow the previous one left; a
+    # fresh solver at the same vector starts from the zero graph flow
+    _res, steps = record_greedy_pass(g, p, q)
+    for step in steps:
+        cold = solver_at(g, step.before, q).solve(step.edge)
+        assert (step.bound, step.bound_set) == cold
+
+
+def test_karate_pass_carries_flow(karate, monkeypatch):
+    calls = spy_dinic(monkeypatch)
+    n, m = karate.vertex_count, karate.edge_count
+    cunningham_basis(karate, n - 1, m)
+    assert len(calls) == m
+    graph_flow = [
+        any(cap[a] != cap[a + 1] for a in range(0, 2 * m, 2))
+        for (*_head, cap, _value) in calls
+    ]
+    assert not graph_flow[0]
+    assert any(graph_flow[1:])

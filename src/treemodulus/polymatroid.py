@@ -4,8 +4,9 @@ For a target rate p/q the greedy pass keeps a per-edge integer vector that
 is q times a polymatroid point, raising each edge in turn by the largest
 feasible increment.  The increment subproblem (tightest constraint through
 a given edge) is solved as a minimum cut on an auxiliary network; one
-residual array serves the whole pass, and each cut starts from the maximum
-flow the previous one left behind.
+residual array serves the whole pass, each cut starts from the flow the
+previous one left behind, and a cut stops as soon as its flow proves the
+edge's cap.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ class _SubproblemSolver:
     residual array serve the whole pass.  ``raise_edge`` widens a graph edge
     and keeps its flow; ``solve`` re-routes the terminal arcs around the
     carried graph flow and lets ``dinic`` augment from there, so each cut
-    starts from the previous cut's maximum flow (the warm start of
+    starts from the flow the previous one left (the warm start of
     parametric max-flow: Gallo, Grigoriadis and Tarjan, SIAM J. Comput. 18,
-    1989).  Every maximum flow leaves the same source side reachable in its
-    residual network, the minimal minimum cut, so the answers do not depend
-    on the flow carried in.  Flow edge layout: [0, m) original edges,
+    1989).  That flow is feasible but need not be maximal, since a solve
+    stops once its flow proves the cap.  Every maximum flow leaves the same
+    source side reachable in its residual network, the minimal minimum
+    cut, so the answers do not depend on the flow carried in.
+
+    The carried flow keeps one terminal arc of every vertex saturated:
+    ``solve`` re-sets terminal arcs that way, and an augmenting path only
+    fills terminal arcs (it never enters r or leaves s), whether ``dinic``
+    runs to the end or stops early.  Flow edge layout: [0, m) original edges,
     [m, m+n) source-to-vertex, [m+n, m+2n) sink-to-vertex; flow edge i owns
     arcs 2i and 2i+1, whose residuals sum to twice its capacity.
     """
@@ -93,6 +100,7 @@ class _SubproblemSolver:
         self.stale: list[int] = []
         self.flow = 0  # value of the carried flow
         self.x_total = 0
+        self.level: list[int] | None = None  # BFS levels of the last full cut
 
     def raise_edge(self, edge: int, delta: int) -> None:
         """Reflect x'(edge) += delta; the flow carried on the edge stays feasible."""
@@ -108,26 +116,29 @@ class _SubproblemSolver:
         self.stale += (u, v)
         self.x_total += delta
 
-    def solve(self, j: int) -> tuple[int, EdgeSubset]:
-        """Largest integer increment of the tracked vector at edge j that
-        stays inside the scaled polymatroid, with a constraint set attaining it.
+    def solve(self, j: int, cap: int) -> int:
+        """min(increment, cap): the increment being the largest integer
+        raise of the tracked vector at edge j that stays inside the scaled
+        polymatroid.
 
-        Decoded from the min cut: with U the graph vertices on the source
-        side, the tight set is every edge with both endpoints in U, and the
-        increment is cut/2 - x'(E) - q.  Both endpoints of j always land in
-        U, so j itself is in the returned set.
+        The increment is decoded from the min cut as cut/2 - x'(E) - q, so
+        it reaches ``cap`` exactly when the cut reaches 2(x'(E) + q + cap).
+        Every feasible flow bounds the cut from below, so ``solve`` returns
+        ``cap`` without a max-flow when the carried flow already reaches
+        that value, and otherwise lets ``dinic`` stop once it does.  Only a
+        flow that stays below it runs to the full cut; the increment is then
+        below ``cap`` and ``tight_set`` reads its constraint set.
 
         The carried flow leaves each vertex v a net graph outflow b(v), read
         off its terminal arcs as (flow from r) - (flow to s).  The terminal
         arcs are set to send min(2q, c_v - b(v)) to s and that plus b(v)
         from r, c_v being v's source capacity; b(v) lies in
-        [-2q, x'(δ(v))], so this flow is feasible.  The previous maximum
-        flow saturates one terminal arc of every vertex, which is that
-        setting already, so only the ends of j and the vertices whose c_v
-        changed since (``stale``: the ends of raised edges and of the
-        previous j) are re-set.
+        [-2q, x'(δ(v))], so this flow is feasible.  Every vertex already
+        has one saturated terminal arc, which is that setting, so only the
+        ends of j and the vertices whose c_v changed since (``stale``: the
+        ends of raised edges and of the previous j) are re-set.
         """
-        cap = self.cap
+        res = self.cap
         m, n = self.m, self.n
         two_q = 2 * self.q
         # strictly larger than the sum of every finite capacity
@@ -138,8 +149,8 @@ class _SubproblemSolver:
         for v in {*self.stale, ja, jb}:
             a = 2 * (m + v)  # source -> v
             b = 2 * (m + n + v) + 1  # v -> sink
-            to_sink = (cap[b - 1] - cap[b]) // 2
-            outflow = (cap[a + 1] - cap[a]) // 2 - to_sink
+            to_sink = (res[b - 1] - res[b]) // 2
+            outflow = (res[a + 1] - res[a]) // 2 - to_sink
             flow -= to_sink
             c = infinite if v == ja or v == jb else incident[v]
             to_sink = min(two_q, c - outflow)
@@ -149,30 +160,45 @@ class _SubproblemSolver:
                     f"infeasible carried flow at vertex {v}: "
                     f"source arc {from_source}/{c}, sink arc {to_sink}/{two_q}"
                 )
-            cap[a] = c - from_source
-            cap[a + 1] = c + from_source
-            cap[b - 1] = two_q + to_sink
-            cap[b] = two_q - to_sink
+            res[a] = c - from_source
+            res[a + 1] = c + from_source
+            res[b - 1] = two_q + to_sink
+            res[b] = two_q - to_sink
             flow += to_sink
         self.stale = [ja, jb]
-        value, level = dinic(n + 2, self.source, self.sink, self.to, self.adj, cap)
+        self.level = None
+        need = 2 * (self.x_total + self.q + cap) - flow
+        if need <= 0:
+            self.flow = flow
+            return cap
+        value, level = dinic(
+            n + 2, self.source, self.sink, self.to, self.adj, res, enough=need
+        )
         value += flow
         self.flow = value
+        if level is None:
+            return cap
         if value % 2 != 0:
             raise InvariantViolation(f"odd cut value {value}")
-        u_side = [False] * n
-        for v in range(n):
-            if level[v] != -1:
-                u_side[v] = True
-        tight = frozenset(
-            eid for eid, (a, b) in enumerate(self.g.edges) if u_side[a] and u_side[b]
-        )
         epsilon = value // 2 - self.x_total - self.q
-        if epsilon < 0 or j not in tight:
+        if not 0 <= epsilon < cap or level[ja] == -1 or level[jb] == -1:
             raise InvariantViolation(
                 f"bad subproblem decode at edge {j}: epsilon={epsilon}"
             )
-        return epsilon, tight
+        self.level = level
+        return epsilon
+
+    def tight_set(self) -> EdgeSubset:
+        """Constraint set attaining the last solve's increment, which must
+        have been below its cap: with U the graph vertices on the source
+        side of the min cut, every edge with both endpoints in U.  Both
+        endpoints of j land in U, so j itself is in the set."""
+        level = self.level
+        return frozenset(
+            eid
+            for eid, (a, b) in enumerate(self.g.edges)
+            if level[a] != -1 and level[b] != -1
+        )
 
 
 def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
@@ -191,13 +217,10 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     solver = _SubproblemSolver(g, q)
     tight: set[int] = set()
     for j in range(m):
-        bound, bound_set = solver.solve(j)
         cap = p - x[j]
-        if bound < cap:
-            tight |= bound_set
-            applied = bound
-        else:
-            applied = cap
+        applied = solver.solve(j, cap)
+        if applied < cap:
+            tight |= solver.tight_set()
         x[j] += applied
         solver.raise_edge(j, applied)
     tight_frozen = frozenset(tight)

@@ -125,7 +125,7 @@ def test_criterion_3_oracle_equivalence(corpus, capsys):
         assert modulus_result.modulus == reference.modulus, name
         # a randomized subproblem probe drawn from a real mid-run state
         p, q = 1 + rng.below(4), 1 + rng.below(6)
-        _res, steps = record_greedy_pass(g, p, q)
+        _res, steps = record_greedy_pass(g, p, q, exact=True)
         step = steps[rng.below(len(steps))]
         eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
         assert step.bound == eps, name

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from treemodulus.oracle import (
 )
 from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis
 
-from conftest import connected_multigraphs, graph_from_pairs, record_greedy_pass
+from conftest import connected_multigraphs, graph_from_pairs, handed_flow, record_greedy_pass
 
 
 def solver_at(g, values, q):
@@ -23,46 +25,40 @@ def solver_at(g, values, q):
     return solver
 
 
-def handed_flow(node_count, source, sink, to, cap):
-    """Check the flow ``cap`` carries into dinic and return its value.
+class DinicCall(NamedTuple):
+    """One dinic call: the network as handed in, the cut value (the flow
+    carried into the sink plus what dinic augments) and whether it stopped
+    before a full cut."""
 
-    Flow edge i owns arcs 2i and 2i+1, whose residuals are c - f and c + f
-    for its capacity c and its flow f along arc 2i.  The flow must keep
-    |f| <= c on every pair, be conserved at every node but the source and
-    the sink, and leave no source-v-sink path with room on both arcs.
-    """
-    inflow = [0] * node_count
-    for a in range(0, len(cap), 2):
-        assert cap[a] >= 0 and cap[a + 1] >= 0
-        assert (cap[a + 1] - cap[a]) % 2 == 0
-        f = (cap[a + 1] - cap[a]) // 2
-        inflow[to[a]] += f
-        inflow[to[a + 1]] -= f
-    assert all(inflow[v] == 0 for v in range(node_count) if v not in (source, sink))
-    assert inflow[sink] == -inflow[source] >= 0
-    from_source = {to[a]: cap[a] for a in range(len(to)) if to[a ^ 1] == source}
-    into_sink = {to[a ^ 1]: cap[a] for a in range(len(to)) if to[a] == sink}
-    assert all(min(room, into_sink.get(v, 0)) == 0 for v, room in from_source.items())
-    return inflow[sink]
+    node_count: int
+    source: int
+    sink: int
+    to: list[int]
+    cap: list[int]
+    value: int
+    stopped: bool
 
 
 def spy_dinic(monkeypatch):
-    """Record (node_count, source, sink, to, caps, cut value) of every dinic call.
-
-    caps is the residual array as handed in, and the cut value is the flow
-    it carries into the sink plus what dinic augments.
-    """
+    """Record a DinicCall for every dinic call the solver makes."""
     calls = []
 
-    def spy(node_count, source, sink, to, adj, cap):
+    def spy(node_count, source, sink, to, adj, cap, enough=None):
         network = (node_count, source, sink, list(to), cap.copy())
         carried = handed_flow(*network)
-        value, level = dinic(node_count, source, sink, to, adj, cap)
-        calls.append((*network, carried + value))
+        value, level = dinic(node_count, source, sink, to, adj, cap, enough=enough)
+        calls.append(DinicCall(*network, carried + value, level is None))
         return value, level
 
     monkeypatch.setattr(polymatroid, "dinic", spy)
     return calls
+
+
+def exact_solve(solver, j):
+    """(increment, constraint set) at edge j: the cap q + 1 is above every
+    increment, since the set {j} alone leaves q - x'(j)."""
+    epsilon = solver.solve(j, solver.q + 1)
+    return epsilon, solver.tight_set()
 
 
 def aux_network(g, values, j, q, monkeypatch):
@@ -76,10 +72,10 @@ def aux_network(g, values, j, q, monkeypatch):
     """
     calls = spy_dinic(monkeypatch)
     try:
-        solver_at(g, values, q).solve(j)
+        exact_solve(solver_at(g, values, q), j)
     except InvariantViolation:
         pass  # an infeasible vector still builds the network
-    (node_count, source, sink, to, cap, _value), = calls
+    (node_count, source, sink, to, cap, *_rest), = calls
     n, m = g.vertex_count, g.edge_count
     assert (node_count, source, sink) == (n + 2, n, n + 1)
     tags = [("edge", e) for e in range(m)]
@@ -134,18 +130,18 @@ class TestBuildAuxNetwork:
 
 class TestMinTightIncrement:
     def test_triangle_zero(self, triangle):
-        assert solver_at(triangle, [0, 0, 0], 3).solve(0) == (3, frozenset({0}))
+        assert exact_solve(solver_at(triangle, [0, 0, 0], 3), 0) == (3, frozenset({0}))
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
-        assert solver_at(g, [0], 5).solve(0) == (5, frozenset({0}))
+        assert exact_solve(solver_at(g, [0], 5), 0) == (5, frozenset({0}))
 
     def test_triangle_partial(self, triangle):
-        assert solver_at(triangle, [2, 2, 0], 3).solve(2) == (2, frozenset({0, 1, 2}))
+        assert exact_solve(solver_at(triangle, [2, 2, 0], 3), 2) == (2, frozenset({0, 1, 2}))
 
     def test_agrees_with_brute_force_examples(self, triangle):
         for values, j, q in [([0, 0, 0], 0, 3), ([2, 2, 0], 2, 3), ([1, 0, 1], 1, 2)]:
-            eps, tight = solver_at(triangle, values, q).solve(j)
+            eps, tight = exact_solve(solver_at(triangle, values, q), j)
             want_eps, _ = brute_min_increment(triangle, values, j, q)
             assert eps == want_eps
             # the returned set need not equal the brute argmin, but must be
@@ -205,7 +201,8 @@ def test_feasible_throughout_and_monotone(g, p, q):
     for step in steps:
         assert all(x2 >= x1 for x1, x2 in zip(step.before, step.after))
         assert polymatroid_violation(g, step.after, q) is None
-        assert step.edge in step.bound_set
+        if step.bound < step.cap:
+            assert step.edge in step.bound_set
     assert steps[-1].after == res.vector
 
 
@@ -229,7 +226,7 @@ def test_basis_total_law_and_order_invariance(g, p, q, rnd):
        st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_subproblem_matches_brute_force_mid_run(g, p, q):
-    _res, steps = record_greedy_pass(g, p, q)
+    _res, steps = record_greedy_pass(g, p, q, exact=True)
     assert len(steps) == g.edge_count
     for step in steps:
         eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
@@ -252,11 +249,12 @@ def test_subproblem_cut_value_is_always_even(g, q, data):
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = spy_dinic(monkeypatch)
         try:
-            solver_at(g, values, q).solve(j)
+            exact_solve(solver_at(g, values, q), j)
         except InvariantViolation as err:
             assert "odd" not in str(err)
-    (*_network, value), = calls
-    assert value % 2 == 0
+    (call,) = calls
+    assert not call.stopped
+    assert call.value % 2 == 0
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
@@ -265,20 +263,42 @@ def test_subproblem_cut_value_is_always_even(g, q, data):
 def test_warm_solve_matches_cold_solve(g, p, q):
     # each solve of a pass starts from the flow the previous one left; a
     # fresh solver at the same vector starts from the zero graph flow
-    _res, steps = record_greedy_pass(g, p, q)
+    _res, steps = record_greedy_pass(g, p, q, exact=True)
     for step in steps:
-        cold = solver_at(g, step.before, q).solve(step.edge)
+        cold = exact_solve(solver_at(g, step.before, q), step.edge)
         assert (step.bound, step.bound_set) == cold
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_capped_solve_matches_brute_force(g, p, q):
+    # the pass as it runs: each solve returns min(increment, cap), and a
+    # solve below its cap gives the constraint set of an exact solve
+    res, steps = record_greedy_pass(g, p, q)
+    for step in steps:
+        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
+        assert step.bound == min(eps, step.cap)
+        if step.bound < step.cap:
+            cold = exact_solve(solver_at(g, step.before, q), step.edge)
+            assert (step.bound, step.bound_set) == cold
+    exact_res, _steps = record_greedy_pass(g, p, q, exact=True)
+    assert res == exact_res
 
 
 def test_karate_pass_carries_flow(karate, monkeypatch):
     calls = spy_dinic(monkeypatch)
     n, m = karate.vertex_count, karate.edge_count
-    cunningham_basis(karate, n - 1, m)
-    assert len(calls) == m
+    _res, steps = record_greedy_pass(karate, n - 1, m)
+    assert len(steps) == m
     graph_flow = [
-        any(cap[a] != cap[a + 1] for a in range(0, 2 * m, 2))
-        for (*_head, cap, _value) in calls
+        any(call.cap[a] != call.cap[a + 1] for a in range(0, 2 * m, 2))
+        for call in calls
     ]
     assert not graph_flow[0]
     assert any(graph_flow[1:])
+    # every way out of a solve is taken: no max-flow, a stopped one, a full cut
+    stopped = sum(call.stopped for call in calls)
+    assert len(calls) < m
+    assert 0 < stopped < len(calls)
+    assert len(calls) - stopped == sum(step.bound < step.cap for step in steps)

@@ -41,7 +41,7 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
     spanning-tree family, all in exact rationals."""
     require_connected(g, nontrivial=True)
     m = g.edge_count
-    eta: list[Fraction | None] = [None] * m
+    peel_of = [-1] * m  # index of the peel that assigned each edge
     trace: list[PeelRecord] = []
     queue: deque[tuple[MultiGraph, tuple[int, ...], int]] = deque()
     queue.append((g, tuple(range(m)), -1))
@@ -66,9 +66,9 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
         )
         trace.append(record)
         for root_eid in critical_root:
-            if eta[root_eid] is not None:
+            if peel_of[root_eid] >= 0:
                 raise InvariantViolation(f"edge {root_eid} assigned twice")
-            eta[root_eid] = found.theta
+            peel_of[root_eid] = record.index
         decomposition = decompose_after_removal(sub, found.critical)
         for comp in decomposition.components:
             if comp.trivial:
@@ -79,18 +79,22 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
             child_root_ids = tuple(root_ids[pe] for pe in comp.parent_edge_ids)
             queue.append((comp.graph, child_root_ids, record.index))
 
-    if any(value is None for value in eta):
+    if -1 in peel_of:
         raise InvariantViolation("peeling finished with unassigned edges")
-    eta_final = tuple(eta)  # type: ignore[arg-type]
-    total = sum(eta_final)
+    # every edge of a peel holds that peel's value, so the sums run over peels
+    total = sum(rec.theta * len(rec.critical_edges) for rec in trace)
     if total != g.vertex_count - 1:
         raise InvariantViolation(f"usage probabilities sum to {total}, not |V|-1")
-    if any(not (0 < value <= 1) for value in eta_final):
+    if any(not (0 < rec.theta <= 1) for rec in trace):
         raise InvariantViolation("usage probability outside (0, 1]")
-    energy = sum(value * value for value in eta_final)
+    energy = sum(rec.theta * rec.theta * len(rec.critical_edges) for rec in trace)
     modulus = 1 / energy
-    rho = tuple(value * modulus for value in eta_final)
-    return ModulusResult(eta=eta_final, rho=rho, modulus=modulus, trace=tuple(trace))
+    thetas = [rec.theta for rec in trace]
+    density = {theta: theta * modulus for theta in set(thetas)}
+    peel_rho = [density[theta] for theta in thetas]
+    eta = tuple(thetas[k] for k in peel_of)
+    rho = tuple(peel_rho[k] for k in peel_of)
+    return ModulusResult(eta=eta, rho=rho, modulus=modulus, trace=tuple(trace))
 
 
 def eta_histogram(result: ModulusResult) -> list[tuple[Fraction, int]]:

@@ -7,6 +7,10 @@ a given edge) is solved as a minimum cut on an auxiliary network; one
 residual array serves the whole pass, each cut starts from the flow the
 previous one left behind, and a cut stops as soon as its flow proves the
 edge's cap.
+
+The same network also tests whether the uniform point p on every edge
+lies in the polymatroid, with one cut per vertex instead of one per edge
+(``density_violation``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class BasisResult:
 
 
 class _SubproblemSolver:
-    """Min-cut workspace for one greedy pass, carrying its flow from cut to cut.
+    """Min-cut workspace for one greedy pass or one density test, carrying
+    its flow from cut to cut.
 
     The increment subproblem at edge j is a minimum cut on an auxiliary
     network: the graph vertices plus a source r and sink s; every graph
@@ -55,10 +60,16 @@ class _SubproblemSolver:
     source side reachable in its residual network, the minimal minimum
     cut, so the answers do not depend on the flow carried in.
 
+    The density test keeps x' = p on every edge and moves the infinite
+    capacities instead: its cut i joins r to vertex i and joins vertices
+    0..i-1 to s with infinite capacity, every other terminal arc keeping its
+    capacity above.
+
     The carried flow keeps one terminal arc of every vertex saturated:
-    ``solve`` re-sets terminal arcs that way, and an augmenting path only
-    fills terminal arcs (it never enters r or leaves s), whether ``dinic``
-    runs to the end or stops early.  Flow edge layout: [0, m) original edges,
+    ``set_terminals``, the one place terminal capacities change, re-sets
+    them that way, and an augmenting path only fills terminal arcs (it
+    never enters r or leaves s), whether ``dinic`` runs to the end or stops
+    early.  Flow edge layout: [0, m) original edges,
     [m, m+n) source-to-vertex, [m+n, m+2n) sink-to-vertex; flow edge i owns
     arcs 2i and 2i+1, whose residuals sum to twice its capacity.
     """
@@ -129,55 +140,26 @@ class _SubproblemSolver:
         flow that stays below it runs to the full cut; the increment is then
         below ``cap`` and ``tight_set`` reads its constraint set.
 
-        The carried flow leaves each vertex v a net graph outflow b(v), read
-        off its terminal arcs as (flow from r) - (flow to s).  The terminal
-        arcs are set to send min(2q, c_v - b(v)) to s and that plus b(v)
-        from r, c_v being v's source capacity; b(v) lies in
-        [-2q, x'(δ(v))], so this flow is feasible.  Every vertex already
-        has one saturated terminal arc, which is that setting, so only the
-        ends of j and the vertices whose c_v changed since (``stale``: the
-        ends of raised edges and of the previous j) are re-set.
+        The terminal arcs of a vertex v are re-set by ``set_terminals``
+        with source capacity c_v and sink capacity 2q; the carried net graph
+        outflow b(v) lies in [-2q, x'(δ(v))], so the flow stays feasible.
+        Every vertex already has one saturated terminal arc, which is that
+        setting, so only the ends of j and the vertices whose c_v changed
+        since (``stale``: the ends of raised edges and of the previous j)
+        are re-set.
         """
-        res = self.cap
-        m, n = self.m, self.n
         two_q = 2 * self.q
-        # strictly larger than the sum of every finite capacity
-        infinite = 3 * self.x_total + two_q * n + 1
+        infinite = self.infinite()
         ja, jb = self.g.edges[j]
         incident = self.incident
-        flow = self.flow
+        set_terminals = self.set_terminals
         for v in {*self.stale, ja, jb}:
-            a = 2 * (m + v)  # source -> v
-            b = 2 * (m + n + v) + 1  # v -> sink
-            to_sink = (res[b - 1] - res[b]) // 2
-            outflow = (res[a + 1] - res[a]) // 2 - to_sink
-            flow -= to_sink
-            c = infinite if v == ja or v == jb else incident[v]
-            to_sink = min(two_q, c - outflow)
-            from_source = to_sink + outflow
-            if not (0 <= to_sink <= two_q and 0 <= from_source <= c):
-                raise InvariantViolation(
-                    f"infeasible carried flow at vertex {v}: "
-                    f"source arc {from_source}/{c}, sink arc {to_sink}/{two_q}"
-                )
-            res[a] = c - from_source
-            res[a + 1] = c + from_source
-            res[b - 1] = two_q + to_sink
-            res[b] = two_q - to_sink
-            flow += to_sink
+            set_terminals(v, infinite if v == ja or v == jb else incident[v], two_q)
         self.stale = [ja, jb]
-        self.level = None
-        need = 2 * (self.x_total + self.q + cap) - flow
-        if need <= 0:
-            self.flow = flow
-            return cap
-        value, level = dinic(
-            n + 2, self.source, self.sink, self.to, self.adj, res, enough=need
-        )
-        value += flow
-        self.flow = value
+        level = self.reach(2 * (self.x_total + self.q + cap))
         if level is None:
             return cap
+        value = self.flow
         if value % 2 != 0:
             raise InvariantViolation(f"odd cut value {value}")
         epsilon = value // 2 - self.x_total - self.q
@@ -185,8 +167,58 @@ class _SubproblemSolver:
             raise InvariantViolation(
                 f"bad subproblem decode at edge {j}: epsilon={epsilon}"
             )
-        self.level = level
         return epsilon
+
+    def infinite(self) -> int:
+        """A capacity strictly larger than the sum of every finite one."""
+        return 3 * self.x_total + 2 * self.q * self.n + 1
+
+    def set_terminals(self, v: int, source_cap: int, sink_cap: int) -> None:
+        """Give vertex v's terminal arcs these capacities around the carried flow.
+
+        The carried flow leaves v a net graph outflow b(v), read off its
+        terminal arcs as (flow from r) - (flow to s).  The arcs are set to
+        send min(sink_cap, source_cap - b(v)) to s and that plus b(v) from
+        r, which keeps the flow feasible whenever b(v) lies in
+        [-sink_cap, source_cap], and leaves one of the two arcs saturated.
+        """
+        res = self.cap
+        a = 2 * (self.m + v)  # source -> v
+        b = 2 * (self.m + self.n + v) + 1  # v -> sink
+        to_sink = (res[b - 1] - res[b]) // 2
+        outflow = (res[a + 1] - res[a]) // 2 - to_sink
+        self.flow -= to_sink
+        to_sink = min(sink_cap, source_cap - outflow)
+        from_source = to_sink + outflow
+        if not (0 <= to_sink <= sink_cap and 0 <= from_source <= source_cap):
+            raise InvariantViolation(
+                f"infeasible carried flow at vertex {v}: "
+                f"source arc {from_source}/{source_cap}, sink arc {to_sink}/{sink_cap}"
+            )
+        res[a] = source_cap - from_source
+        res[a + 1] = source_cap + from_source
+        res[b - 1] = sink_cap + to_sink
+        res[b] = sink_cap - to_sink
+        self.flow += to_sink
+
+    def reach(self, target: int) -> list[int] | None:
+        """Augment the carried flow until its value reaches ``target``.
+
+        Returns None once it does, without a max-flow when the carried flow
+        already reaches it.  Otherwise the flow is maximal short of
+        ``target``, and the BFS levels of its last search, which mark the
+        minimal minimum cut, are returned and kept for ``tight_set``.
+        """
+        self.level = None
+        need = target - self.flow
+        if need <= 0:
+            return None
+        value, level = dinic(
+            self.n + 2, self.source, self.sink, self.to, self.adj, self.cap, enough=need
+        )
+        self.flow += value
+        self.level = level
+        return level
 
     def tight_set(self) -> EdgeSubset:
         """Constraint set attaining the last solve's increment, which must
@@ -230,3 +262,41 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     if sum(x[e] for e in tight_frozen) != q * rank:
         raise InvariantViolation("accumulated tight set is not tight at exit")
     return BasisResult(vector=x, tight_set=tight_frozen, candidate=candidate, total=total)
+
+
+def density_violation(g: MultiGraph, p: int, q: int) -> frozenset[int] | None:
+    """Test whether x' = p on every edge lies in the polymatroid of q times
+    the graphic rank, with one capped min-cut per vertex but the last.
+
+    That holds exactly when p|E[U]| <= q(|U| - 1) for every vertex set U,
+    E[U] being the edges with both ends in U (Cunningham, "Testing
+    membership in matroid polyhedra", JCTB 36, 1984).  A source side {r} + U
+    of the auxiliary network cuts 2(x'(E) + q|U| - x'(E[U])), so the
+    constraints of the sets U whose smallest vertex is i hold exactly when
+    the minimum cut that forces i to the source side and 0..i-1 to the sink
+    side reaches 2(x'(E) + q).  Each cut stops once its flow does; a single
+    vertex always satisfies its constraint, so the last vertex needs no cut.
+
+    Returns None when every constraint holds, and otherwise the graph
+    vertices of the minimal source side of the first cut that falls short:
+    a set U with p|E[U]| > q(|U| - 1).
+    """
+    n = g.vertex_count
+    solver = _SubproblemSolver(g, q)
+    for e in range(g.edge_count):
+        solver.raise_edge(e, p)
+    target = 2 * (solver.x_total + q)
+    infinite = solver.infinite()
+    incident = solver.incident
+    two_q = 2 * q
+    set_terminals = solver.set_terminals
+    for v in range(1, n):
+        set_terminals(v, incident[v], two_q)
+    for i in range(n - 1):
+        if i:
+            set_terminals(i - 1, incident[i - 1], infinite)
+        set_terminals(i, infinite, two_q)
+        level = solver.reach(target)
+        if level is not None:
+            return frozenset(v for v in range(n) if level[v] != -1)
+    return None

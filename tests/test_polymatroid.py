@@ -1,7 +1,8 @@
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treemodulus import polymatroid
 from treemodulus.errors import DisconnectedGraphError, InvariantViolation
@@ -12,7 +13,7 @@ from treemodulus.oracle import (
     brute_min_increment,
     polymatroid_violation,
 )
-from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis
+from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis, density_violation
 
 from conftest import connected_multigraphs, graph_from_pairs, handed_flow, record_greedy_pass
 
@@ -302,3 +303,57 @@ def test_karate_pass_carries_flow(karate, monkeypatch):
     assert len(calls) < m
     assert 0 < stopped < len(calls)
     assert len(calls) - stopped == sum(step.bound < step.cap for step in steps)
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=5),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+# only {1, 2} is too dense, so only the last cut can see it
+@example(graph_from_pairs(3, [(0, 1), (1, 2), (1, 2)]), 3, 5)
+@settings(max_examples=80, deadline=None)
+def test_density_test_matches_greedy_total_and_brute_force(g, p, q):
+    n, m = g.vertex_count, g.edge_count
+    whole = Fraction(n - 1, m)
+    for p, q in [(p, q), (whole.numerator, whole.denominator)]:
+        dense = density_violation(g, p, q)
+        assert (dense is None) == (cunningham_basis(g, p, q).total == p * m)
+        assert (dense is None) == (polymatroid_violation(g, [p] * m, q) is None)
+        if dense is not None:
+            inside = [e for e, (a, b) in enumerate(g.edges) if a in dense and b in dense]
+            assert p * len(inside) > q * (len(dense) - 1)
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=5),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+@example(graph_from_pairs(3, [(0, 1), (1, 2), (1, 2)]), 3, 5)
+@settings(max_examples=60, deadline=None)
+def test_density_cuts_force_their_vertices(g, p, q):
+    """Every network the density test hands to dinic: x' = p on every edge,
+    r joined to one vertex i with infinite capacity and to every other
+    vertex v with p deg(v), s joined to 0..i-1 with infinite capacity and
+    to the rest with 2q; the carried flow is feasible.  The cuts move up
+    one vertex at a time, and a short one is the last."""
+    n, m = g.vertex_count, g.edge_count
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_dinic(monkeypatch)
+        dense = density_violation(g, p, q)
+    target = 2 * (p * m + q)
+    forced = []
+    for call in calls:
+        cap = call.cap
+        capacity = [(cap[2 * i] + cap[2 * i + 1]) // 2 for i in range(m + 2 * n)]
+        source_arcs, sink_arcs = capacity[m:m + n], capacity[m + n:]
+        assert capacity[:m] == [p] * m
+        (i,) = [v for v in range(n) if source_arcs[v] != p * len(g.incidence[v])]
+        infinite = source_arcs[i]
+        assert sink_arcs == [infinite] * i + [2 * q] * (n - i)
+        assert infinite > sum(capacity) - (i + 1) * infinite
+        forced.append(i)
+        assert call.stopped == (call.value >= target)
+    assert forced == sorted(set(forced))
+    assert all(i < n - 1 for i in forced)
+    if dense is None:
+        assert all(call.stopped for call in calls)
+    else:
+        assert calls and not calls[-1].stopped
+        assert all(call.stopped for call in calls[:-1])
+        assert min(dense) == forced[-1]

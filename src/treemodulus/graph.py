@@ -62,21 +62,14 @@ class MultiGraph:
 class Component:
     """One connected piece left after removing an edge set.
 
-    ``induced_edges`` holds every parent edge with both endpoints inside
-    the piece (the vertex-induced set), not only the edges that survived
-    the removal.  ``parent_edge_ids[k]`` is the parent id of local edge k.
+    ``parent_edge_ids[k]`` is the parent id of local edge k; they are every
+    parent edge with both endpoints inside the piece (the vertex-induced
+    set), not only the edges that survived the removal.
     """
 
     vertices: tuple[int, ...]
-    induced_edges: EdgeSubset
     graph: MultiGraph
     parent_edge_ids: tuple[int, ...]
-    trivial: bool
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple[Component, ...]
 
 
 def parse_edge_list(text: str | bytes) -> tuple[MultiGraph, list[str]]:
@@ -185,12 +178,12 @@ def theta_of_set(g: MultiGraph, subset: Iterable[int]) -> Fraction:
     return Fraction(min_overlap(g, subset), len(subset))
 
 
-def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> Decomposition:
+def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> tuple[Component, ...]:
     """Connected components left after deleting ``removed``.
 
     Each component carries its vertex-induced edge set from the parent and
     a sub-multigraph on locally renumbered vertices.  Components are ordered
-    by smallest member vertex; edgeless components are flagged trivial.
+    by smallest member vertex; a lone vertex has no parent edges.
     """
     removed = frozenset(removed)
     dsu = _DisjointSet(g.vertex_count)
@@ -212,15 +205,9 @@ def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> Decomposit
         sub_labels = tuple(g.label_of(v) for v in members)
         sub = MultiGraph(len(members), sub_edges, sub_labels)
         components.append(
-            Component(
-                vertices=tuple(members),
-                induced_edges=frozenset(parent_ids),
-                graph=sub,
-                parent_edge_ids=tuple(parent_ids),
-                trivial=not parent_ids,
-            )
+            Component(vertices=tuple(members), graph=sub, parent_edge_ids=tuple(parent_ids))
         )
-    return Decomposition(components=tuple(components))
+    return tuple(components)
 
 
 def bridges(g: MultiGraph) -> EdgeSubset:

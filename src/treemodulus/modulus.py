@@ -25,7 +25,6 @@ class PeelRecord:
     edge_count: int
     theta: Fraction
     critical_edges: tuple[int, ...]  # ids in the root graph
-    used_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,16 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
             edge_count=sub.edge_count,
             theta=found.theta,
             critical_edges=critical_root,
-            used_fallback=found.used_fallback,
         )
         trace.append(record)
         for root_eid in critical_root:
             if peel_of[root_eid] >= 0:
                 raise InvariantViolation(f"edge {root_eid} assigned twice")
             peel_of[root_eid] = record.index
-        decomposition = decompose_after_removal(sub, found.critical)
-        for comp in decomposition.components:
-            if comp.trivial:
+        for comp in decompose_after_removal(sub, found.critical):
+            if not comp.parent_edge_ids:
                 continue
-            if comp.induced_edges & found.critical:
+            if not found.critical.isdisjoint(comp.parent_edge_ids):
                 # a critical set never reaches inside a surviving component
                 raise InvariantViolation("critical set intersects an induced component")
             child_root_ids = tuple(root_ids[pe] for pe in comp.parent_edge_ids)

@@ -307,13 +307,12 @@ def brute_modulus(g: MultiGraph) -> ModulusResult:
             edge_count=sub.edge_count,
             theta=theta,
             critical_edges=tuple(sorted(root_ids[e] for e in critical)),
-            used_fallback=False,
         )
         trace.append(record)
         for e in critical:
             eta[root_ids[e]] = theta
-        for comp in decompose_after_removal(sub, critical).components:
-            if comp.trivial:
+        for comp in decompose_after_removal(sub, critical):
+            if not comp.parent_edge_ids:
                 continue
             queue.append(
                 (comp.graph, tuple(root_ids[pe] for pe in comp.parent_edge_ids), record.index)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .flow import dinic
-from .graph import EdgeSubset, MultiGraph, component_count, require_connected
+from .graph import EdgeSubset, MultiGraph, graphic_rank, require_connected
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,7 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     tight_frozen = frozenset(tight)
     candidate = frozenset(range(m)) - tight_frozen
     total = sum(x)
-    rank = g.vertex_count - component_count(g, tight_frozen)
-    if sum(x[e] for e in tight_frozen) != q * rank:
+    if sum(x[e] for e in tight_frozen) != q * graphic_rank(g, tight_frozen):
         raise InvariantViolation("accumulated tight set is not tight at exit")
     return BasisResult(vector=x, tight_set=tight_frozen, candidate=candidate, total=total)
 

@@ -136,44 +136,45 @@ class TestThetaOfSet:
 
 class TestDecompose:
     def test_bridge_split(self, bridge_triangles):
-        dec = decompose_after_removal(bridge_triangles, (3,))
-        assert len(dec.components) == 2
-        for comp in dec.components:
-            assert not comp.trivial
+        comps = decompose_after_removal(bridge_triangles, (3,))
+        assert len(comps) == 2
+        for comp in comps:
+            assert comp.parent_edge_ids
             assert comp.graph.vertex_count == 3
             assert comp.graph.edge_count == 3
 
     def test_remove_all_gives_trivial(self, triangle):
-        dec = decompose_after_removal(triangle, range(3))
-        assert len(dec.components) == 3
-        assert all(comp.trivial for comp in dec.components)
+        comps = decompose_after_removal(triangle, range(3))
+        assert len(comps) == 3
+        assert all(not comp.parent_edge_ids for comp in comps)
+        assert all(comp.graph.edge_count == 0 for comp in comps)
 
     def test_karate_critical_edge(self, karate):
         # removing the pendant edge leaves one nontrivial piece plus the
         # degree-one member (label "11")
         pendant_vertex = karate.labels.index("11")
         pendant = next(e for e, (a, b) in enumerate(karate.edges) if pendant_vertex in (a, b))
-        dec = decompose_after_removal(karate, (pendant,))
-        trivial = [c for c in dec.components if c.trivial]
-        nontrivial = [c for c in dec.components if not c.trivial]
+        comps = decompose_after_removal(karate, (pendant,))
+        trivial = [c for c in comps if not c.parent_edge_ids]
+        nontrivial = [c for c in comps if c.parent_edge_ids]
         assert len(trivial) == 1 and len(nontrivial) == 1
         assert trivial[0].vertices == (pendant_vertex,)
 
     def test_vertex_partition(self, bridge_triangles):
-        dec = decompose_after_removal(bridge_triangles, (0, 3))
-        seen = [v for comp in dec.components for v in comp.vertices]
+        comps = decompose_after_removal(bridge_triangles, (0, 3))
+        seen = [v for comp in comps for v in comp.vertices]
         assert sorted(seen) == list(range(6))
 
     def test_induced_superset_of_component_edges(self, triangle):
         # removing one triangle edge keeps all three vertices connected,
         # and the vertex-induced set recovers the removed edge
-        dec = decompose_after_removal(triangle, (0,))
-        assert len(dec.components) == 1
-        assert dec.components[0].induced_edges == frozenset({0, 1, 2})
+        comps = decompose_after_removal(triangle, (0,))
+        assert len(comps) == 1
+        assert comps[0].parent_edge_ids == (0, 1, 2)
+        assert comps[0].graph.edge_count == 3
 
     def test_parent_edge_map(self, bridge_triangles):
-        dec = decompose_after_removal(bridge_triangles, (3,))
-        comp = dec.components[1]
+        comp = decompose_after_removal(bridge_triangles, (3,))[1]
         for local, parent in enumerate(comp.parent_edge_ids):
             la, lb = comp.graph.edges[local]
             pa, pb = bridge_triangles.edges[parent]

@@ -1,4 +1,5 @@
-"""The benchmark's pinned usage-probability digests, reproduced from tier-1.
+"""The benchmark's pinned usage-probability digests and traced work
+counts, reproduced from tier-1.
 
 The benchmark workloads are built by ``perfbench/workloads.py``, whose
 ``fresh_import`` drops and re-imports every ``treemodulus`` module; that
@@ -51,3 +52,44 @@ def test_pinned_eta_digests_reproduce():
     assert report == {
         workload: {"checked": count, "mismatched": []} for workload, count in PREFIX.items()
     }
+
+
+TRACED_CHILD = """
+import importlib.util
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+spec = importlib.util.spec_from_file_location("run", sys.argv[1] + "/run.py")
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+wl = run.wl
+tm, graphs = wl.build("multilevel", wl.DEFAULT_SEED)
+checker = run.Checker("multilevel", wl.DEFAULT_SEED)
+tracer, _seconds, failed = run.traced_pass(tm, graphs[: run.TRACE_GRAPHS["multilevel"]], checker)
+print(json.dumps({
+    "failed": failed,
+    "failures": checker.failures,
+    "missing": tracer.missing,
+    "counts": tracer.counts(),
+}))
+"""
+
+
+def test_traced_multilevel_pass_counts():
+    # the --trace 1 path of perfbench/run.py on its multilevel trace set;
+    # the counts are those of the pass-free peels benchmark point
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CHILD, str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["failed"] == 0, report["failures"]
+    assert report["missing"] == []
+    counts = report["counts"]
+    assert (counts["graphs"], counts["peels"], counts["passes"]) == (10, 69, 57)
+    assert counts["mincuts"] == 2349
+    assert counts["fallbacks"] == 0

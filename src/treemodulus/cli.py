@@ -8,6 +8,8 @@ Exit codes: 0 ok, 2 parse error, unreadable file or usage error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -40,6 +42,8 @@ EXIT_DISCONNECTED = 3
 EXIT_GUARD = 4
 EXIT_INVARIANT = 5
 
+MIN_FAMILY_SIZE = 2  # smallest size option every generator family accepts
+
 
 @dataclass(frozen=True)
 class Family:
@@ -47,15 +51,14 @@ class Family:
 
     build: Callable[[int, int | None], MultiGraph]  # (size, seed) -> graph
     size_option: str  # the generate option that sets the size
-    min_size: int
     seeded: bool  # generate requires --seed
 
 
 FAMILIES = {
-    "complete": Family(lambda size, _seed: generators.complete_graph(size), "n", 2, False),
-    "multipartite": Family(lambda size, _seed: generators.multipartite_graph(size), "k", 2, False),
-    "gnp": Family(generators.gnp_graph, "n", 2, True),
-    "geometric": Family(generators.geometric_graph, "n", 2, True),
+    "complete": Family(lambda size, _seed: generators.complete_graph(size), "n", False),
+    "multipartite": Family(lambda size, _seed: generators.multipartite_graph(size), "k", False),
+    "gnp": Family(generators.gnp_graph, "n", True),
+    "geometric": Family(generators.geometric_graph, "n", True),
 }
 
 
@@ -126,15 +129,22 @@ def _modulus_text(g: MultiGraph, result: ModulusResult) -> str:
 
 
 def _modulus_csv(g: MultiGraph, result: ModulusResult) -> str:
-    lines = [f"# modulus={_frac(result.modulus)}"]
-    lines.append("edge,endpoint_a,endpoint_b,eta_num,eta_den,rho_num,rho_den")
+    out = io.StringIO()
+    out.write(f"# modulus={_frac(result.modulus)}\n")
+    out.write("edge,endpoint_a,endpoint_b,eta_num,eta_den,rho_num,rho_den\n")
+    writer = csv.writer(out, lineterminator="\n")  # quotes only the labels that need it
     for eid, (a, b) in enumerate(g.edges):
         eta, rho = result.eta[eid], result.rho[eid]
-        lines.append(
-            f"{eid},{g.label_of(a)},{g.label_of(b)},"
-            f"{eta.numerator},{eta.denominator},{rho.numerator},{rho.denominator}"
+        writer.writerow(
+            (eid, g.label_of(a), g.label_of(b),
+             eta.numerator, eta.denominator, rho.numerator, rho.denominator)
         )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()
+
+
+def _dot_id(label: str) -> str:
+    """A label's text inside a quoted DOT id."""
+    return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _modulus_dot(g: MultiGraph, result: ModulusResult) -> str:
@@ -146,7 +156,7 @@ def _modulus_dot(g: MultiGraph, result: ModulusResult) -> str:
     for eid, (a, b) in enumerate(g.edges):
         value = result.eta[eid]
         lines.append(
-            f'  "{g.label_of(a)}" -- "{g.label_of(b)}"'
+            f'  "{_dot_id(g.label_of(a))}" -- "{_dot_id(g.label_of(b))}"'
             f' [color="{color_of[value]}", label="{_frac(value)}"];'
         )
     lines.append("}")
@@ -180,12 +190,11 @@ def cmd_modulus(args) -> int:
 def _check_families(parser, names: list[str], sizes: list[int], option: str) -> None:
     """Usage error unless every family is known and every size suits it."""
     for name in names:
-        family = FAMILIES.get(name)
-        if family is None:
+        if name not in FAMILIES:
             parser.error(f"unknown family {name!r} (choose from {', '.join(FAMILIES)})")
         for size in sizes:
-            if size < family.min_size:
-                parser.error(f"{name} needs {option} >= {family.min_size}, got {size}")
+            if size < MIN_FAMILY_SIZE:
+                parser.error(f"{name} needs {option} >= {MIN_FAMILY_SIZE}, got {size}")
 
 
 def cmd_generate(args) -> int:

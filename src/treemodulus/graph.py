@@ -62,8 +62,9 @@ class MultiGraph:
 class Component:
     """One connected piece left after removing an edge set.
 
-    ``parent_edge_ids[k]`` is the parent id of local edge k; they are every
-    parent edge with both endpoints inside the piece (the vertex-induced
+    ``vertices[i]`` is the parent vertex of local vertex i and
+    ``parent_edge_ids[k]`` the parent id of local edge k.  The parent edges
+    are all those with both endpoints inside the piece (the vertex-induced
     set), not only the edges that survived the removal.
     """
 
@@ -159,55 +160,46 @@ def require_connected(g: MultiGraph, nontrivial: bool = False) -> None:
         raise DisconnectedGraphError("graph is trivial (fewer than 2 vertices)")
 
 
-def min_overlap(g: MultiGraph, subset: Iterable[int]) -> int:
-    """Minimum number of edges any spanning tree must share with the subset.
-
-    Equals the component count after deleting the subset, minus one.
-    """
-    require_connected(g)
-    removed = frozenset(subset)
-    rest = (e for e in range(g.edge_count) if e not in removed)
-    return component_count(g, rest) - 1
-
-
 def theta_of_set(g: MultiGraph, subset: Iterable[int]) -> Fraction:
-    """Vulnerability of an edge subset: min tree overlap over subset size (0 for empty)."""
+    """Vulnerability of an edge subset: min tree overlap over subset size (0
+    for empty).  ``g`` must be connected, which the caller checks; the min
+    overlap is then the component count after deleting the subset, less one."""
     subset = frozenset(subset)
     if not subset:
         return Fraction(0)
-    return Fraction(min_overlap(g, subset), len(subset))
+    rest = (e for e in range(g.edge_count) if e not in subset)
+    return Fraction(component_count(g, rest) - 1, len(subset))
 
 
 def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> tuple[Component, ...]:
     """Connected components left after deleting ``removed``.
 
     Each component carries its vertex-induced edge set from the parent and
-    a sub-multigraph on locally renumbered vertices.  Components are ordered
-    by smallest member vertex; a lone vertex has no parent edges.
+    an unlabelled sub-multigraph on locally renumbered vertices.  Components
+    are ordered by smallest member vertex; a lone vertex has no parent edges.
     """
     removed = frozenset(removed)
     dsu = _DisjointSet(g.vertex_count)
     for eid, (a, b) in enumerate(g.edges):
         if eid not in removed:
             dsu.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(dsu.find(v), []).append(v)
-    # scanning vertices in order makes the group order ascend by min vertex
-    components = []
-    for members in groups.values():
-        vset = set(members)
-        local = {v: i for i, v in enumerate(members)}
-        parent_ids = [
-            eid for eid, (a, b) in enumerate(g.edges) if a in vset and b in vset
-        ]
-        sub_edges = tuple((local[g.edges[eid][0]], local[g.edges[eid][1]]) for eid in parent_ids)
-        sub_labels = tuple(g.label_of(v) for v in members)
-        sub = MultiGraph(len(members), sub_edges, sub_labels)
-        components.append(
-            Component(vertices=tuple(members), graph=sub, parent_edge_ids=tuple(parent_ids))
-        )
-    return tuple(components)
+    root_of = [dsu.find(v) for v in range(g.vertex_count)]
+    # root -> (vertices, local edges, parent edge ids), all filled in id order
+    parts: dict[int, tuple[list[int], list[tuple[int, int]], list[int]]] = {}
+    local = []
+    for v, root in enumerate(root_of):
+        vs = parts.setdefault(root, ([], [], []))[0]
+        local.append(len(vs))
+        vs.append(v)
+    for eid, (a, b) in enumerate(g.edges):
+        if root_of[a] == root_of[b]:
+            _vs, sub_edges, parent_ids = parts[root_of[a]]
+            sub_edges.append((local[a], local[b]))
+            parent_ids.append(eid)
+    return tuple(
+        Component(tuple(vs), MultiGraph(len(vs), tuple(es)), tuple(ids))
+        for vs, es, ids in parts.values()
+    )
 
 
 def bridges(g: MultiGraph) -> EdgeSubset:

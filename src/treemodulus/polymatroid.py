@@ -27,13 +27,11 @@ class BasisResult:
     """Outcome of one greedy pass.
 
     ``candidate`` is the complement of the accumulated tight set: the edges
-    whose entry reached the cap p.  ``total`` is the vector summed over all
-    edges, the quantity the threshold test reads.  ``vector`` holds the
-    per-edge integers at scale q: q times the polymatroid point reached.
+    whose entry reached the cap p.  ``total`` is the per-edge vector at
+    scale q (q times the polymatroid point reached) summed over all edges,
+    the quantity the threshold test reads.
     """
 
-    vector: list[int]
-    tight_set: EdgeSubset
     candidate: EdgeSubset
     total: int
 
@@ -236,10 +234,11 @@ class _SubproblemSolver:
 def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     """One greedy pass at target rate p/q, visiting each edge once.
 
-    Every edge j is raised by min(subproblem increment, p - x'(j)); the
-    subproblem's constraint set is accumulated into the tight set only when
-    its increment is strictly smaller than the cap.  The returned total is
-    independent of the visit order; the tight set need not be.
+    ``g`` must be connected with at least two vertices, which is checked
+    here.  Every edge j is raised by min(subproblem increment, p - x'(j));
+    the subproblem's constraint set is accumulated into the tight set only
+    when its increment is strictly smaller than the cap.  The returned
+    total is independent of the visit order; the candidate set need not be.
     """
     require_connected(g, nontrivial=True)
     if p < 1 or q < 1:
@@ -255,12 +254,9 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
             tight |= solver.tight_set()
         x[j] += applied
         solver.raise_edge(j, applied)
-    tight_frozen = frozenset(tight)
-    candidate = frozenset(range(m)) - tight_frozen
-    total = sum(x)
-    if sum(x[e] for e in tight_frozen) != q * graphic_rank(g, tight_frozen):
+    if sum(x[e] for e in tight) != q * graphic_rank(g, tight):
         raise InvariantViolation("accumulated tight set is not tight at exit")
-    return BasisResult(vector=x, tight_set=tight_frozen, candidate=candidate, total=total)
+    return BasisResult(candidate=frozenset(range(m)) - tight, total=sum(x))
 
 
 def density_violation(g: MultiGraph, p: int, q: int) -> frozenset[int] | None:

@@ -4,6 +4,7 @@ Checked in a fresh interpreter so that no earlier import in the same
 pytest run can supply a module the package itself failed to load.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -55,3 +56,62 @@ def test_readme_names_exactly_the_public_api():
     readme = (ROOT / "README.md").read_text()
     listed = re.search(r"`__all__` is:(.*?)\n\n", readme, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(treemodulus.__all__)
+
+
+def identifiers(node) -> set[str]:
+    """Every name, attribute, imported name and identifier-like string under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                found.add(sub.value)  # getattr targets such as tracing.HOOKS
+    return found
+
+
+def test_src_holds_no_test_only_code():
+    # roots: what perfbench/ and scripts/ name, the package's __all__ and
+    # the console script; reach then follows, by name, every identifier in
+    # the body of each reached top-level function, class or constant
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    roots = {re.search(r'treemod = "treemodulus\.cli:(\w+)"', pyproject).group(1)}
+    roots |= set(treemodulus.__all__)
+    for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        roots |= identifiers(ast.parse(path.read_text()))
+    defined: dict[str, list[tuple[str, ast.AST]]] = {}
+    for path in sorted((ROOT / "src" / "treemodulus").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Expr)):
+                continue  # imports and docstrings reach nothing by themselves
+            else:
+                roots |= identifiers(stmt)  # runs on import, e.g. __main__
+                continue
+            for name in names:
+                defined.setdefault(name, []).append((path.stem, stmt))
+    reached: set[str] = set()
+    frontier = roots & defined.keys()
+    while frontier:
+        reached |= frontier
+        frontier = {
+            name
+            for reached_name in frontier
+            for _module, stmt in defined[reached_name]
+            for name in identifiers(stmt) & defined.keys()
+        } - reached
+    offenders = sorted(
+        f"{module}.{name}"
+        for name, places in defined.items()
+        if name not in reached and not (name.startswith("__") and name.endswith("__"))
+        for module, _stmt in places
+    )
+    assert not offenders, f"src/ code that no caller outside tests/ reaches: {offenders}"

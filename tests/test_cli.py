@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +98,22 @@ class TestModulus:
         out_path = tmp_path / "result.json"
         assert main(["modulus", triangle_file, "--format", "json", "--out", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["modulus"] == {"num": 3, "den": 4}
+
+    def test_labels_with_delimiters_and_quotes(self, tmp_path, capsys):
+        # a label is any whitespace-free token, so it may hold a comma, a
+        # double quote or a backslash
+        labels = [("a,x", "b\\y"), ("b\\y", 'c"q'), ('c"q', "a,x")]
+        path = tmp_path / "odd.edges"
+        path.write_text("".join(f"{a} {b}\n" for a, b in labels))
+        assert main(["modulus", str(path), "--format", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert all(len(row) == 7 for row in rows)
+        assert [tuple(row[1:3]) for row in rows[1:]] == labels
+        assert main(["modulus", str(path), "--format", "dot"]) == 0
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        edges = re.findall(rf"^  {quoted} -- {quoted} \[", capsys.readouterr().out, re.M)
+        unescaped = [tuple(re.sub(r"\\(.)", r"\1", ident) for ident in pair) for pair in edges]
+        assert unescaped == labels
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv", "dot"])
     def test_karate_golden(self, fmt, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from treemodulus.errors import DisconnectedGraphError, ParseError
 from treemodulus.graph import (
@@ -10,12 +10,11 @@ from treemodulus.graph import (
     component_count,
     decompose_after_removal,
     graphic_rank,
-    min_overlap,
     parse_edge_list,
     theta_of_set,
 )
-from treemodulus.oracle import component_counts_by_mask, enumerate_spanning_trees
 
+from brute import component_counts_by_mask, enumerate_spanning_trees, min_overlap
 from conftest import connected_multigraphs, graph_from_pairs
 
 
@@ -181,6 +180,43 @@ class TestDecompose:
             assert {comp.vertices[la], comp.vertices[lb]} == {pa, pb}
 
 
+def least_vertex_labels(g, removed):
+    """Each vertex labelled by the least vertex of its component after
+    deleting ``removed``, by relaxing every surviving edge until stable."""
+    label = list(range(g.vertex_count))
+    changed = True
+    while changed:
+        changed = False
+        for e, (a, b) in enumerate(g.edges):
+            if e not in removed and label[a] != label[b]:
+                label[a] = label[b] = min(label[a], label[b])
+                changed = True
+    return label
+
+
+@given(connected_multigraphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_decompose_matches_brute_force(g, data):
+    removed = data.draw(st.sets(st.integers(min_value=0, max_value=g.edge_count - 1)))
+    comps = decompose_after_removal(g, removed)
+    label = least_vertex_labels(g, removed)
+    # the parts cover V, ordered by least vertex, each listed in ascending order
+    assert [c.vertices for c in comps] == [
+        tuple(v for v in range(g.vertex_count) if label[v] == least)
+        for least in sorted(set(label))
+    ]
+    for comp in comps:
+        inside = set(comp.vertices)
+        assert comp.parent_edge_ids == tuple(
+            e for e, (a, b) in enumerate(g.edges) if a in inside and b in inside
+        )
+        assert comp.graph.vertex_count == len(comp.vertices)
+        assert comp.graph.edge_count == len(comp.parent_edge_ids)
+        for (la, lb), parent in zip(comp.graph.edges, comp.parent_edge_ids):
+            assert (comp.vertices[la], comp.vertices[lb]) == g.edges[parent]
+        assert comp.graph.is_connected()
+
+
 class TestBridges:
     def test_path_all_bridges(self, path4):
         assert bridges(path4) == frozenset({0, 1, 2})
@@ -258,3 +294,4 @@ def test_min_overlap_matches_tree_enumeration(g):
         subset = frozenset(i for i in range(m) if mask >> i & 1)
         expected = min(len(tree & subset) for tree in trees)
         assert min_overlap(g, subset) == expected
+        assert theta_of_set(g, subset) * len(subset) == expected

@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 
 from treemodulus.errors import SizeGuardExceeded
-from treemodulus.graph import component_count, min_overlap
+from treemodulus.graph import component_count, theta_of_set
 from treemodulus.modulus import ModulusResult, spanning_tree_modulus
 from treemodulus.oracle import (
-    brute_min_increment,
     brute_modulus,
     brute_theta,
-    component_counts_by_mask,
     count_spanning_trees,
-    enumerate_spanning_trees,
     minimum_spanning_weight,
-    subset_sums_by_mask,
     verify_modulus,
 )
 
+from brute import (
+    brute_min_increment,
+    component_counts_by_mask,
+    enumerate_spanning_trees,
+    min_overlap,
+    subset_sums_by_mask,
+)
 from conftest import connected_multigraphs, graph_from_pairs
 
 
@@ -196,3 +199,4 @@ def test_min_overlap_both_directions(g):
         subset = frozenset(e for e in range(m) if mask >> e & 1)
         by_trees = min(len(tree & subset) for tree in trees)
         assert min_overlap(g, subset) == by_trees
+        assert theta_of_set(g, subset) * len(subset) == by_trees

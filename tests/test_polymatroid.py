@@ -8,13 +8,9 @@ from treemodulus import polymatroid
 from treemodulus.errors import DisconnectedGraphError, InvariantViolation
 from treemodulus.flow import dinic
 from treemodulus.graph import MultiGraph, graphic_rank
-from treemodulus.oracle import (
-    brute_basis_total,
-    brute_min_increment,
-    polymatroid_violation,
-)
 from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis, density_violation
 
+from brute import brute_basis_total, brute_min_increment, polymatroid_violation
 from conftest import connected_multigraphs, graph_from_pairs, handed_flow, record_greedy_pass
 
 
@@ -153,21 +149,21 @@ class TestMinTightIncrement:
 
 class TestCunninghamBasis:
     def test_triangle_2_3(self, triangle):
-        res = cunningham_basis(triangle, 2, 3)
-        assert res.vector == [2, 2, 2]
+        res, steps = record_greedy_pass(triangle, 2, 3)
+        assert steps[-1].after == [2, 2, 2]
         assert res.total == 6 == 3 * (3 - 1)
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_triangle_5_9(self, triangle):
-        res = cunningham_basis(triangle, 5, 9)
-        assert res.vector == [5, 5, 5]
+        res, steps = record_greedy_pass(triangle, 5, 9)
+        assert steps[-1].after == [5, 5, 5]
         assert res.total == 15 < 18
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
-        res = cunningham_basis(g, 1, 1)
-        assert res.vector == [1]
+        res, steps = record_greedy_pass(g, 1, 1)
+        assert steps[-1].after == [1]
         assert res.total == 1
         assert res.candidate == frozenset({0})
 
@@ -182,15 +178,16 @@ class TestCunninghamBasis:
 
     def test_candidate_entries_hit_the_cap(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (1, 1), (3, 4)]:
-            res = cunningham_basis(bridge_triangles, p, q)
+            res, steps = record_greedy_pass(bridge_triangles, p, q)
             for e in res.candidate:
-                assert res.vector[e] == p
+                assert steps[-1].after[e] == p
 
     def test_tightness_at_exit(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (5, 7)]:
-            res = cunningham_basis(bridge_triangles, p, q)
-            got = sum(res.vector[e] for e in res.tight_set)
-            assert got == q * graphic_rank(bridge_triangles, res.tight_set)
+            res, steps = record_greedy_pass(bridge_triangles, p, q)
+            tight_set = frozenset(range(bridge_triangles.edge_count)) - res.candidate
+            got = sum(steps[-1].after[e] for e in tight_set)
+            assert got == q * graphic_rank(bridge_triangles, tight_set)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
@@ -204,7 +201,7 @@ def test_feasible_throughout_and_monotone(g, p, q):
         assert polymatroid_violation(g, step.after, q) is None
         if step.bound < step.cap:
             assert step.edge in step.bound_set
-    assert steps[-1].after == res.vector
+    assert sum(steps[-1].after) == res.total
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),

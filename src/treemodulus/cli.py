@@ -202,7 +202,7 @@ def cmd_generate(args) -> int:
     size = getattr(args, family.size_option)
     _check_families(args.parser, [args.family], [size], f"--{family.size_option}")
     if family.seeded and args.seed is None:
-        raise GeneratorError(f"{args.family} requires --seed")
+        args.parser.error(f"{args.family} requires --seed")
     _emit(family.build(size, args.seed).to_edge_list_text(), args.out)
     return 0
 
@@ -233,6 +233,8 @@ def cmd_bench(args) -> int:
     families = args.families.split(",") if args.families else list(FAMILIES)
     sizes = args.sizes or []
     _check_families(args.parser, families, sizes, "--sizes entries")
+    if args.reps < 1:
+        args.parser.error(f"--reps must be at least 1, got {args.reps}")
     rows = ["family,n,vertices,edges,nanos,result"]
     fits: list[str] = []
     for fidx, family in enumerate(families):
@@ -246,7 +248,7 @@ def cmd_bench(args) -> int:
             g = FAMILIES[family].build(size, seed)
             samples = []
             result = None
-            for _rep in range(max(1, args.reps)):
+            for _rep in range(args.reps):
                 start = time.perf_counter_ns()
                 result = spanning_tree_modulus(g)
                 samples.append(time.perf_counter_ns() - start)

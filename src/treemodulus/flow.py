@@ -20,8 +20,7 @@ def dinic(
     to: Sequence[int],
     adj: Sequence[Sequence[int]],
     cap: list[int],
-    enough: int | None = None,
-) -> tuple[int, list[int] | None]:
+) -> tuple[int, list[int]]:
     """Max flow on an arc structure where arc a and arc a^1 are reverses.
 
     ``cap`` holds residual capacities and is updated in place.  It may
@@ -32,22 +31,12 @@ def dinic(
     flow leaves the same reachable set, the minimal minimum cut, so the
     levels' -1 pattern does not depend on the flow passed in.
 
-    With ``enough`` set, the search stops right after the augmentation
-    that brings the added flow to ``enough`` or more, once that
-    augmentation is applied to ``cap``, and returns (value, None): the
-    flow in ``cap`` is then feasible but need not be maximal, and by
-    max-flow/min-cut duality every cut is at least its value.  When the
-    maximum flow stays below ``enough`` the search runs to the end as
-    without it.
-
     Each phase's BFS stops once the sink has a level: no other node at that
     level lies on a shortest path.  The last, failing BFS labels everything
     reachable.
     """
     n = node_count
     level = [-1] * n
-    if enough is None:
-        enough = float("inf")
     total_flow = 0
     while True:
         # BFS: label residual distance from the source
@@ -88,8 +77,6 @@ def dinic(
                     cap[a ^ 1] += bottleneck
                     if retreat < 0 and cap[a] == 0:
                         retreat = idx  # first saturated arc
-                if total_flow >= enough:
-                    return total_flow, None
                 del path[retreat:]
                 v = to[path[-1]] if path else source
                 continue

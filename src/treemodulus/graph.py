@@ -146,11 +146,6 @@ def component_count(g: MultiGraph, active: Iterable[int]) -> int:
     return dsu.count
 
 
-def graphic_rank(g: MultiGraph, subset: Iterable[int]) -> int:
-    """Rank of an edge set in the graphic matroid: |V| minus its component count."""
-    return g.vertex_count - component_count(g, subset)
-
-
 def require_connected(g: MultiGraph, nontrivial: bool = False) -> None:
     if not g.is_connected():
         raise DisconnectedGraphError(

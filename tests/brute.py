@@ -1,6 +1,6 @@
 """Brute-force references that only the test suite uses.
 
-Each recomputes a quantity by enumeration, without the flow/greedy stack,
+Each recomputes a quantity by enumeration, without the flow and sweep stack,
 so the pipeline's pieces can be pinned against it on small instances.
 ``treemodulus.oracle`` keeps the references the package itself runs
 (``treemod check``, ``treemod stats`` and ``verify_modulus``).
@@ -21,7 +21,7 @@ from treemodulus.graph import (
 from treemodulus.oracle import _partition_scan, count_spanning_trees
 
 ENUMERATION_GUARD = 1_000_000
-BRUTE_INCREMENT_MAX_EDGES = 16
+MASK_MAX_EDGES = 16
 
 
 def min_overlap(g: MultiGraph, subset: Iterable[int]) -> int:
@@ -35,7 +35,12 @@ def min_overlap(g: MultiGraph, subset: Iterable[int]) -> int:
     return component_count(g, rest) - 1
 
 
-def component_counts_by_mask(g: MultiGraph, max_edges: int = BRUTE_INCREMENT_MAX_EDGES) -> list[int]:
+def graphic_rank(g: MultiGraph, subset: Iterable[int]) -> int:
+    """Rank of an edge set in the graphic matroid: |V| minus its component count."""
+    return g.vertex_count - component_count(g, subset)
+
+
+def component_counts_by_mask(g: MultiGraph, max_edges: int = MASK_MAX_EDGES) -> list[int]:
     """Connected-component count of (V, mask) for every edge mask."""
     if g.edge_count > max_edges:
         raise SizeGuardExceeded(f"{g.edge_count} edges exceeds mask-enumeration guard {max_edges}")
@@ -61,9 +66,7 @@ def brute_min_increment(
     The argmin reported is the smallest by (cardinality, sorted edge ids).
     """
     m = g.edge_count
-    if m > BRUTE_INCREMENT_MAX_EDGES:
-        raise SizeGuardExceeded(f"{m} edges exceeds brute-force guard {BRUTE_INCREMENT_MAX_EDGES}")
-    qs = component_counts_by_mask(g, BRUTE_INCREMENT_MAX_EDGES)
+    qs = component_counts_by_mask(g)
     sums = subset_sums_by_mask(list(x_values))
     n = g.vertex_count
     jbit = 1 << j
@@ -83,18 +86,18 @@ def brute_min_increment(
     return best, members[0]
 
 
-def brute_basis_total(g: MultiGraph, p: int, q: int) -> int:
-    """min over subsets J of p*|J| + q*rank(complement of J)."""
-    m = g.edge_count
-    qs = component_counts_by_mask(g)
-    n = g.vertex_count
-    full = (1 << m) - 1
-    best = None
-    for mask in range(1 << m):
-        value = p * mask.bit_count() + q * (n - qs[full ^ mask])
-        if best is None or value < best:
-            best = value
-    return best
+def brute_greedy_pass(g: MultiGraph, p: int, q: int) -> list[list[int]]:
+    """Cunningham's greedy pass at rate p/q, by enumeration: from zero, raise
+    each edge in id order by the least of p and its minimum increment, and
+    keep the vector after each edge.  Its last vector totals
+    min over J of p|J| + q*rank(complement of J) (Edmonds' min-max)."""
+    x = [0] * g.edge_count
+    steps = []
+    for j in range(g.edge_count):
+        x = x.copy()
+        x[j] += min(p, brute_min_increment(g, x, j, q)[0])
+        steps.append(x)
+    return steps
 
 
 def polymatroid_violation(g: MultiGraph, x_values: Sequence[int], q: int) -> EdgeSubset | None:
@@ -107,6 +110,23 @@ def polymatroid_violation(g: MultiGraph, x_values: Sequence[int], q: int) -> Edg
         if sums[mask] > q * (n - qs[mask]):
             return frozenset(i for i in range(m) if mask >> i & 1)
     return None
+
+
+def brute_basis(g: MultiGraph, p: int, q: int) -> tuple[int, EdgeSubset]:
+    """min over subsets J of p*|J| + q*rank(complement of J), and the
+    largest minimizing J: the union of every minimizer, which minimizes too."""
+    m = g.edge_count
+    qs = component_counts_by_mask(g)
+    n = g.vertex_count
+    full = (1 << m) - 1
+    best = union = None
+    for mask in range(1 << m):
+        value = p * mask.bit_count() + q * (n - qs[full ^ mask])
+        if best is None or value < best:
+            best, union = value, mask
+        elif value == best:
+            union |= mask
+    return best, frozenset(i for i in range(m) if union >> i & 1)
 
 
 def enumerate_spanning_trees(g: MultiGraph) -> list[EdgeSubset]:

@@ -28,8 +28,7 @@ from treemodulus.vulnerability import vulnerability
 
 import sys
 
-from brute import brute_min_increment
-from conftest import record_greedy_pass
+from brute import brute_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KARATE = FIXTURES / "karate.edges"
@@ -123,19 +122,17 @@ def test_criterion_3_oracle_equivalence(corpus, capsys):
         reference = brute_modulus(g)
         assert modulus_result.eta == reference.eta, name
         assert modulus_result.modulus == reference.modulus, name
-        # a randomized subproblem probe drawn from a real mid-run state
+        # a threshold test at a random rate, total and candidate
         p, q = 1 + rng.below(4), 1 + rng.below(6)
-        _res, steps = record_greedy_pass(g, p, q, exact=True)
-        step = steps[rng.below(len(steps))]
-        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
-        assert step.bound == eps, name
+        basis = cunningham_basis(g, p, q)
+        assert (basis.total, basis.candidate) == brute_basis(g, p, q), name
         probes += 1
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(
             3,
             elapsed < 300.0,
-            f"{len(runs)} graphs: vulnerability, modulus and {probes} subproblem "
+            f"{len(runs)} graphs: vulnerability, modulus and {probes} threshold-test "
             f"probes all match brute force exactly in {elapsed:.1f}s (< 5min)",
         )
 

@@ -136,7 +136,12 @@ class TestGenerate:
         assert len(lines) == 8
 
     def test_gnp_requires_seed(self, capsys):
-        assert main(["generate", "gnp", "--n", "20"]) == 4
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "gnp", "--n", "20"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: treemod generate")
+        assert "error: gnp requires --seed" in err
 
     def test_gnp_deterministic(self, capsys):
         main(["generate", "gnp", "--n", "30", "--seed", "7"])
@@ -210,6 +215,18 @@ class TestExitCodes:
 
 
 class TestBench:
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_a_usage_error(self, reps, tmp_path, capsys):
+        out_path = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--families", "complete", "--sizes", "4", "--reps", reps,
+                  "--out", str(out_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: treemod bench")
+        assert f"error: --reps must be at least 1, got {reps}" in err
+        assert not out_path.exists()
+
     def test_empty_sizes_gives_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "bench.csv"
         assert main(["bench", "--families", "complete", "--out", str(out_path)]) == 0

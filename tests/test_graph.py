@@ -9,12 +9,11 @@ from treemodulus.graph import (
     bridges,
     component_count,
     decompose_after_removal,
-    graphic_rank,
     parse_edge_list,
     theta_of_set,
 )
 
-from brute import component_counts_by_mask, enumerate_spanning_trees, min_overlap
+from brute import component_counts_by_mask, enumerate_spanning_trees, graphic_rank, min_overlap
 from conftest import connected_multigraphs, graph_from_pairs
 
 

@@ -15,6 +15,7 @@ from treemodulus.oracle import (
 )
 
 from brute import (
+    brute_basis,
     brute_min_increment,
     component_counts_by_mask,
     enumerate_spanning_trees,
@@ -110,6 +111,21 @@ class TestBruteTheta:
     def test_guard(self):
         with pytest.raises(SizeGuardExceeded):
             brute_theta(complete(8))  # 28 edges
+
+
+class TestBruteBasis:
+    def test_examples(self, triangle, path4):
+        g2 = graph_from_pairs(2, [(0, 1)])
+        # 2|J| + 3 r(E - J) on the triangle: 6 at J = {} and at J = E
+        assert brute_basis(triangle, 2, 3) == (6, frozenset({0, 1, 2}))
+        assert brute_basis(triangle, 1, 1) == (2, frozenset())
+        assert brute_basis(g2, 5, 1) == (1, frozenset())
+        assert brute_basis(path4, 1, 2) == (3, frozenset({0, 1, 2}))
+
+    def test_argmin_tie_break(self, bridge_triangles):
+        # at rate 1 the bridge and the empty set both reach |V| - 1 = 5;
+        # the union of the tied minimizers is returned
+        assert brute_basis(bridge_triangles, 1, 1) == (5, frozenset({3}))
 
 
 class TestBruteMinIncrement:

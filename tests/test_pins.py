@@ -78,7 +78,8 @@ print(json.dumps({
 
 def test_traced_multilevel_pass_counts():
     # the --trace 1 path of perfbench/run.py on its multilevel trace set;
-    # the counts are those of the pass-free peels benchmark point
+    # the counts are those of the partition-sweep benchmark point,
+    # BENCH_13.json: every probe of a bridgeless peel is one sweep
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_CHILD, str(PERFBENCH)],
         capture_output=True,
@@ -90,6 +91,6 @@ def test_traced_multilevel_pass_counts():
     assert report["failed"] == 0, report["failures"]
     assert report["missing"] == []
     counts = report["counts"]
-    assert (counts["graphs"], counts["peels"], counts["passes"]) == (10, 69, 57)
-    assert counts["mincuts"] == 2349
+    assert (counts["graphs"], counts["peels"], counts["passes"]) == (10, 69, 111)
+    assert counts["mincuts"] == 888
     assert counts["fallbacks"] == 0

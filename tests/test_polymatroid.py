@@ -1,169 +1,245 @@
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from treemodulus import polymatroid
-from treemodulus.errors import DisconnectedGraphError, InvariantViolation
+from treemodulus.errors import DisconnectedGraphError
 from treemodulus.flow import dinic
-from treemodulus.graph import MultiGraph, graphic_rank
-from treemodulus.polymatroid import _SubproblemSolver, cunningham_basis, density_violation
+from treemodulus.graph import MultiGraph, _DisjointSet, decompose_after_removal
+from treemodulus.polymatroid import _merge_set, cunningham_basis
 
-from brute import brute_basis_total, brute_min_increment, polymatroid_violation
-from conftest import connected_multigraphs, graph_from_pairs, handed_flow, record_greedy_pass
-
-
-def solver_at(g, values, q):
-    """Subproblem workspace tracking the increment vector ``values``."""
-    solver = _SubproblemSolver(g, q)
-    for e, value in enumerate(values):
-        solver.raise_edge(e, value)
-    return solver
-
-
-class DinicCall(NamedTuple):
-    """One dinic call: the network as handed in, the cut value (the flow
-    carried into the sink plus what dinic augments) and whether it stopped
-    before a full cut."""
-
-    node_count: int
-    source: int
-    sink: int
-    to: list[int]
-    cap: list[int]
-    value: int
-    stopped: bool
+from brute import brute_basis, brute_greedy_pass, graphic_rank, polymatroid_violation
+from conftest import connected_multigraphs, graph_from_pairs
 
 
 def spy_dinic(monkeypatch):
-    """Record a DinicCall for every dinic call the solver makes."""
+    """Record every network the sweep hands to dinic, as the tuple
+    (node count, source, sink, {node: signed terminal capacity}, sorted
+    capacities between parts, sorted capacities from parts glued to the
+    sink, source-side node count).
+
+    A source arc s -> A of capacity c is read as terminal -c and a sink arc
+    A -> t as terminal c, which is c_A in either case; an arc pair between
+    two parts, or between a part and the sink standing for a glued part,
+    carries the same capacity both ways.
+    """
     calls = []
 
-    def spy(node_count, source, sink, to, adj, cap, enough=None):
-        network = (node_count, source, sink, list(to), cap.copy())
-        carried = handed_flow(*network)
-        value, level = dinic(node_count, source, sink, to, adj, cap, enough=enough)
-        calls.append(DinicCall(*network, carried + value, level is None))
+    def spy(node_count, source, sink, to, adj, cap):
+        terminal, pairs, glued = {}, [], []
+        for a in range(0, len(to), 2):
+            u, v = to[a + 1], to[a]
+            assert source != v and sink != u
+            if cap[a] == cap[a + 1]:
+                assert source != u
+                (glued if v == sink else pairs).append(cap[a])
+            else:
+                assert cap[a + 1] == 0 and (u == source) != (v == sink)
+                node = v if u == source else u
+                assert node not in terminal
+                terminal[node] = -cap[a] if u == source else cap[a]
+        value, level = dinic(node_count, source, sink, to, adj, cap)
+        side = sum(level[v] != -1 for v in range(node_count) if v != source)
+        calls.append((node_count, source, sink, terminal, sorted(pairs), sorted(glued), side))
         return value, level
 
     monkeypatch.setattr(polymatroid, "dinic", spy)
     return calls
 
 
-def exact_solve(solver, j):
-    """(increment, constraint set) at edge j: the cap q + 1 is above every
-    increment, since the set {j} alone leaves q - x'(j)."""
-    epsilon = solver.solve(j, solver.q + 1)
-    return epsilon, solver.tight_set()
+def finest_partition(g, p, q):
+    """Part label of every vertex in the finest partition minimizing
+    q(n - |P|) + p|δ(P)|: the components left by the largest minimizing J."""
+    _total, largest = brute_basis(g, p, q)
+    parts = _DisjointSet(g.vertex_count)
+    for e, (a, b) in enumerate(g.edges):
+        if e not in largest:
+            parts.union(a, b)
+    return [parts.find(v) for v in range(g.vertex_count)]
 
 
-def aux_network(g, values, j, q, monkeypatch):
-    """The network solve(j) hands to dinic, as {tag: (capacity, is_infinite)}.
+def merge_state(g, before, k):
+    """What the sweep holds at vertex k when ``before`` labels the parts of
+    vertices 0..k-1: k's edge count to each part, and every part's edge
+    count to each other part."""
+    to_k = {}
+    links = {before[v]: {} for v in range(k)}
+    for a, b in g.edges:
+        if max(a, b) > k:
+            continue
+        if k in (a, b):
+            if a != b:
+                part = before[a + b - k]
+                to_k[part] = to_k.get(part, 0) + 1
+        elif before[a] != before[b]:
+            for x, y in ((before[a], before[b]), (before[b], before[a])):
+                links[x][y] = links[x].get(y, 0) + 1
+    return to_k, links
 
-    Tags are ("edge", e), ("source", v) and ("sink", v); the arc endpoints
-    are checked against the tag on the way, and each capacity is read as
-    half its arc pair's residual sum.  A capacity counts as infinite when it
-    exceeds the sum of every capacity other than the two source arcs to the
-    endpoints of j.
-    """
-    calls = spy_dinic(monkeypatch)
-    try:
-        exact_solve(solver_at(g, values, q), j)
-    except InvariantViolation:
-        pass  # an infeasible vector still builds the network
-    (node_count, source, sink, to, cap, *_rest), = calls
-    n, m = g.vertex_count, g.edge_count
-    assert (node_count, source, sink) == (n + 2, n, n + 1)
-    tags = [("edge", e) for e in range(m)]
-    tags += [("source", v) for v in range(n)] + [("sink", v) for v in range(n)]
-    assert len(to) == 2 * len(tags)
-    capacity = [(cap[2 * i] + cap[2 * i + 1]) // 2 for i in range(len(tags))]
-    finite = sum(
-        capacity[i] for i, (kind, x) in enumerate(tags)
-        if not (kind == "source" and x in g.edges[j])
-    )
-    net = {}
-    for i, (kind, x) in enumerate(tags):
-        ends = g.edges[x] if kind == "edge" else (source if kind == "source" else sink, x)
-        assert (to[2 * i + 1], to[2 * i]) == ends
-        net[(kind, x)] = (capacity[i], capacity[i] > finite)
-    return net
+
+def smallest_merge(to_k, links, p, q):
+    """The smallest set S of parts minimizing 2q|S| - 2p(e(S, S) + e(S, k)),
+    by enumeration: the meet of every minimizer."""
+    best = meet = None
+    for size in range(len(links) + 1):
+        for subset in combinations(sorted(links), size):
+            inner = sum(links[a].get(b, 0) for a, b in combinations(subset, 2))
+            value = 2 * q * size - 2 * p * (inner + sum(to_k.get(a, 0) for a in subset))
+            if best is None or value < best:
+                best, meet = value, set(subset)
+            elif value == best:
+                meet &= set(subset)
+    return sorted(meet)
+
+
+def expected_calls(g, p, q):
+    """The dinic calls of the sweep as ``spy_dinic`` records them, derived
+    from brute force: before vertex k the parts are the finest optimum of
+    the graph induced by 0..k-1, and k merges with exactly the parts that
+    share its part in the finest optimum of the graph induced by 0..k."""
+    calls = []
+    before = []
+    for k in range(g.vertex_count):
+        induced = MultiGraph(k + 1, tuple((a, b) for a, b in g.edges if a <= k and b <= k))
+        after = finest_partition(induced, p, q)
+        to_k, links = merge_state(g, before, k)
+        # a part joins k only if p(e(A, other parts) + e(A, k)) > q; the
+        # others are glued to the sink, and the network holds the parts the
+        # first kind reach from k
+        def kept(part):
+            return p * (sum(links.get(part, {}).values()) + to_k.get(part, 0)) > q
+
+        component = {part for part in to_k if kept(part)}
+        frontier = list(component)
+        glued = []
+        while frontier:
+            for other, count in links.get(frontier.pop(), {}).items():
+                if not kept(other):
+                    glued.append(p * count)
+                elif other not in component:
+                    component.add(other)
+                    frontier.append(other)
+        terminal = [
+            2 * q - p * (sum(links.get(part, {}).values()) + 2 * to_k.get(part, 0))
+            for part in component
+        ]
+        joined = {before[v] for v in range(k) if after[v] == after[k]}
+        if p * sum(to_k.values()) > q and min(terminal, default=0) < 0:
+            c = len(component)
+            order = sorted(component)
+            pairs = sorted(
+                p * links[x][y] for x, y in combinations(order, 2) if y in links.get(x, {})
+            )
+            calls.append((
+                c + 2, 0, 1, sorted(t for t in terminal if t), pairs, sorted(glued), len(joined),
+            ))
+        else:
+            assert not joined  # no cut runs, and k starts a part of its own
+        before = after
+    return calls
 
 
 class TestBuildAuxNetwork:
-    def test_triangle_zero_vector(self, triangle, monkeypatch):
-        caps = aux_network(triangle, [0, 0, 0], 0, 3, monkeypatch)
-        for v in range(3):
-            assert caps[("sink", v)] == (6, False)
-        # j = edge 0 joins vertices 0 and 1
-        assert caps[("source", 0)][1] is True
-        assert caps[("source", 1)][1] is True
-        assert caps[("source", 2)] == (0, False)
-        for e in range(3):
-            assert caps[("edge", e)] == (0, False)
-
     def test_single_edge_unit(self, monkeypatch):
         g = graph_from_pairs(2, [(0, 1)])
-        caps = aux_network(g, [1], 0, 1, monkeypatch)
-        assert caps[("sink", 0)][0] == 2 and caps[("sink", 1)][0] == 2
-        assert caps[("source", 0)][1] and caps[("source", 1)][1]
-        assert caps[("edge", 0)] == (1, False)
+        calls = spy_dinic(monkeypatch)
+        # at p = q = 1 vertex 1's one edge cannot pay for a merge: no cut
+        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), 1)
+        assert calls == []
+        # at 2/1 the part {0} gets c = 2q - 2p = -2: an arc from vertex 1
+        # and no sink arc, so the part joins vertex 1
+        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), 1)
+        assert calls == [(3, 0, 1, {2: -2}, [], [], 1)]
 
-    def test_k4_zero_vector(self, k4, monkeypatch):
-        caps = aux_network(k4, [0] * 6, 0, 2, monkeypatch)
-        assert sum(1 for e in range(6) if caps[("edge", e)] == (0, False)) == 6
-        assert sum(1 for v in range(4) if caps[("sink", v)] == (4, False)) == 4
-        infinite = [v for v in range(4) if caps[("source", v)][1]]
-        zero = [v for v in range(4) if caps[("source", v)] == (0, False)]
-        assert infinite == [0, 1] and zero == [2, 3]
-
-    def test_incident_sums_on_source_arcs(self, triangle, monkeypatch):
-        # r joins each vertex off j with x' summed over the edges meeting it
-        caps = aux_network(triangle, [2, 1, 0], 1, 3, monkeypatch)
-        assert caps[("source", 0)] == (2, False)
-        assert [caps[("edge", e)][0] for e in range(3)] == [2, 1, 0]
+    def test_incident_sums_on_source_arcs(self, monkeypatch):
+        # a path 0-1-2-3 with a doubled middle edge, then vertex 4 joined
+        # to 0 and 3; each part A gets c_A = 2q - p(e(A, other parts) +
+        # 2e(A, k)), an arc from k when negative and to the sink when positive
+        g = graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)])
+        calls = spy_dinic(monkeypatch)
+        result = cunningham_basis(g, 2, 3)
+        # vertex 1 and vertex 3 have one edge back, 2 <= q: no cut.  Vertex
+        # 2 sees part {1} twice, node 2 with 6 - 2(1 + 2*2) = -4, and
+        # through it part {0}, whose one edge cannot pay for a merge
+        # (2 * 1 <= q), so it is glued to the sink; the cut of 2 along it
+        # leaves {1} on the source side.  Vertex 4 sees {0} and {3} once
+        # each and {1, 2} through them: 6 - 2(1 + 2) = 0 twice and
+        # 6 - 2*2 = 2, no arc from vertex 4
+        assert calls == [(3, 0, 1, {2: -4}, [], [2], 1)]
+        assert result.candidate == frozenset({0, 3, 4, 5})
+        assert result.total == 3 * 1 + 2 * 4
+        # at 3/2 every vertex merges with the one part before it
+        calls.clear()
+        assert cunningham_basis(g, 3, 2).candidate == frozenset()
+        assert [call[3] for call in calls] == [{2: -2}, {2: -8}, {2: -2}, {2: -8}]
 
 
 class TestMinTightIncrement:
-    def test_triangle_zero(self, triangle):
-        assert exact_solve(solver_at(triangle, [0, 0, 0], 3), 0) == (3, frozenset({0}))
+    """The sweep's step at vertex k: the parts k joins are the smallest set
+    S of earlier parts minimizing 2q|S| - 2p(e(S, S) + e(S, k)), and the
+    total rises by p times k's edges back plus half that minimum.  Parts
+    are given by label, with k's edge count to each (``to_k``) and their
+    edge counts to each other (``links``)."""
+
+    def test_triangle_zero(self):
+        # vertex 2 of the triangle against {0} and {1}, nothing merged
+        # before it: S = {0} scores 2q - 2p and S = {0, 1} scores 4q - 6p
+        to_k, links = {0: 1, 1: 1}, {0: {1: 1}, 1: {0: 1}}
+        assert sorted(_merge_set(to_k, links, 1, 1)) == [0, 1]
+        assert _merge_set(to_k, links, 2, 3) == []  # tied with S empty
+        assert _merge_set(to_k, links, 1, 2) == []
 
     def test_single_edge(self):
-        g = graph_from_pairs(2, [(0, 1)])
-        assert exact_solve(solver_at(g, [0], 5), 0) == (5, frozenset({0}))
+        # vertex 1 of one edge: S = {0} scores 2q - 2p
+        to_k, links = {0: 1}, {0: {}}
+        assert _merge_set(to_k, links, 2, 1) == [0]
+        assert _merge_set(to_k, links, 1, 1) == []  # tied with S empty
+        assert _merge_set(to_k, links, 1, 5) == []
 
-    def test_triangle_partial(self, triangle):
-        assert exact_solve(solver_at(triangle, [2, 2, 0], 3), 2) == (2, frozenset({0, 1, 2}))
+    def test_triangle_partial(self):
+        # vertex 2 of the triangle once {0, 1} is one part, which the
+        # finest optimum holds when p > q: S = {0} scores 2q - 4p < 0
+        to_k, links = {0: 2}, {0: {}}
+        for p, q in [(2, 1), (3, 2), (5, 4)]:
+            assert _merge_set(to_k, links, p, q) == [0]
 
-    def test_agrees_with_brute_force_examples(self, triangle):
-        for values, j, q in [([0, 0, 0], 0, 3), ([2, 2, 0], 2, 3), ([1, 0, 1], 1, 2)]:
-            eps, tight = exact_solve(solver_at(triangle, values, q), j)
-            want_eps, _ = brute_min_increment(triangle, values, j, q)
-            assert eps == want_eps
-            # the returned set need not equal the brute argmin, but must be
-            # tight at the same value and contain j
-            assert j in tight
-            assert q * graphic_rank(triangle, tight) - sum(values[e] for e in tight) == eps
+    def test_agrees_with_brute_force_examples(self, triangle, k4, bridge_triangles, path4):
+        # every step of the sweep, from the finest optimum of the vertices
+        # before k: the smallest minimizing S, and the parts that share k's
+        # part in the finest optimum of the vertices up to k
+        doubled = graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)])
+        for g in [triangle, k4, bridge_triangles, path4, doubled]:
+            for p, q in [(1, 1), (2, 3), (1, 2), (3, 2), (5, 7)]:
+                before = []
+                for k in range(g.vertex_count):
+                    to_k, links = merge_state(g, before, k)
+                    got = sorted(_merge_set(to_k, links, p, q))
+                    assert got == smallest_merge(to_k, links, p, q)
+                    induced = MultiGraph(
+                        k + 1, tuple((a, b) for a, b in g.edges if a <= k and b <= k)
+                    )
+                    after = finest_partition(induced, p, q)
+                    assert set(got) == {before[v] for v in range(k) if after[v] == after[k]}
+                    before = after
 
 
 class TestCunninghamBasis:
     def test_triangle_2_3(self, triangle):
-        res, steps = record_greedy_pass(triangle, 2, 3)
-        assert steps[-1].after == [2, 2, 2]
+        res = cunningham_basis(triangle, 2, 3)
         assert res.total == 6 == 3 * (3 - 1)
+        # J = E and J = {} both reach 6: the largest minimizer is E
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_triangle_5_9(self, triangle):
-        res, steps = record_greedy_pass(triangle, 5, 9)
-        assert steps[-1].after == [5, 5, 5]
+        res = cunningham_basis(triangle, 5, 9)
         assert res.total == 15 < 18
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
-        res, steps = record_greedy_pass(g, 1, 1)
-        assert steps[-1].after == [1]
+        res = cunningham_basis(g, 1, 1)
         assert res.total == 1
         assert res.candidate == frozenset({0})
 
@@ -177,16 +253,18 @@ class TestCunninghamBasis:
             cunningham_basis(MultiGraph(1, ()), 1, 1)
 
     def test_candidate_entries_hit_the_cap(self, bridge_triangles):
-        for p, q in [(1, 2), (2, 3), (1, 1), (3, 4)]:
-            res, steps = record_greedy_pass(bridge_triangles, p, q)
-            for e in res.candidate:
-                assert steps[-1].after[e] == p
+        # a greedy pass raises every edge of a minimizing J to its cap p,
+        # so the candidate must minimize, and every edge outside it must
+        # lie in no minimizer
+        for p, q in [(1, 2), (2, 3), (1, 1), (3, 4), (3, 2)]:
+            res = cunningham_basis(bridge_triangles, p, q)
+            assert (res.total, res.candidate) == brute_basis(bridge_triangles, p, q)
 
     def test_tightness_at_exit(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (5, 7)]:
-            res, steps = record_greedy_pass(bridge_triangles, p, q)
+            res = cunningham_basis(bridge_triangles, p, q)
             tight_set = frozenset(range(bridge_triangles.edge_count)) - res.candidate
-            got = sum(steps[-1].after[e] for e in tight_set)
+            got = res.total - p * len(res.candidate)
             assert got == q * graphic_rank(bridge_triangles, tight_set)
 
 
@@ -194,163 +272,130 @@ class TestCunninghamBasis:
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_feasible_throughout_and_monotone(g, p, q):
-    res, steps = record_greedy_pass(g, p, q)
-    assert [step.edge for step in steps] == list(range(g.edge_count))
-    for step in steps:
-        assert all(x2 >= x1 for x1, x2 in zip(step.before, step.after))
-        assert polymatroid_violation(g, step.after, q) is None
-        if step.bound < step.cap:
-            assert step.edge in step.bound_set
-    assert sum(steps[-1].after) == res.total
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
-       st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_basis_total_law_and_order_invariance(g, p, q, rnd):
-    expected = brute_basis_total(g, p, q)
+    # Cunningham's greedy pass, by brute force: every vector lies in the
+    # polymatroid of q times the rank and none falls; it ends at the
+    # sweep's total, with every edge of the candidate raised to the cap p
     res = cunningham_basis(g, p, q)
-    assert res.total == expected
-    # the pass visits edges in id order, so permuting the edge tuple
-    # permutes the visit order
-    edges = list(g.edges)
-    rnd.shuffle(edges)
-    res2 = cunningham_basis(MultiGraph(g.vertex_count, tuple(edges)), p, q)
-    assert res2.total == expected
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_subproblem_matches_brute_force_mid_run(g, p, q):
-    _res, steps = record_greedy_pass(g, p, q, exact=True)
-    assert len(steps) == g.edge_count
-    for step in steps:
-        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
-        assert step.bound == eps
-        # returned constraint set attains the same slack
-        slack = q * graphic_rank(g, step.bound_set) - sum(
-            step.before[e] for e in step.bound_set
-        )
-        assert slack == eps
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=6), st.data())
-@settings(max_examples=40, deadline=None)
-def test_subproblem_cut_value_is_always_even(g, q, data):
-    j = data.draw(st.integers(min_value=0, max_value=g.edge_count - 1))
-    values = [data.draw(st.integers(min_value=0, max_value=q)) for _ in range(g.edge_count)]
-    # parity is structural (every cut is 2(x'(E) - x'(E(U))) + 2q|U|), so it
-    # must hold whether or not the vector is feasible
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = spy_dinic(monkeypatch)
-        try:
-            exact_solve(solver_at(g, values, q), j)
-        except InvariantViolation as err:
-            assert "odd" not in str(err)
-    (call,) = calls
-    assert not call.stopped
-    assert call.value % 2 == 0
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=4),
-       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_warm_solve_matches_cold_solve(g, p, q):
-    # each solve of a pass starts from the flow the previous one left; a
-    # fresh solver at the same vector starts from the zero graph flow
-    _res, steps = record_greedy_pass(g, p, q, exact=True)
-    for step in steps:
-        cold = exact_solve(solver_at(g, step.before, q), step.edge)
-        assert (step.bound, step.bound_set) == cold
+    before = [0] * g.edge_count
+    for after in brute_greedy_pass(g, p, q):
+        assert all(x2 >= x1 for x1, x2 in zip(before, after))
+        assert polymatroid_violation(g, after, q) is None
+        before = after
+    assert sum(before) == res.total
+    assert all(before[e] == p for e in res.candidate)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
-def test_capped_solve_matches_brute_force(g, p, q):
-    # the pass as it runs: each solve returns min(increment, cap), and a
-    # solve below its cap gives the constraint set of an exact solve
-    res, steps = record_greedy_pass(g, p, q)
-    for step in steps:
-        eps, _argmin = brute_min_increment(g, step.before, step.edge, q)
-        assert step.bound == min(eps, step.cap)
-        if step.bound < step.cap:
-            cold = exact_solve(solver_at(g, step.before, q), step.edge)
-            assert (step.bound, step.bound_set) == cold
-    exact_res, _steps = record_greedy_pass(g, p, q, exact=True)
-    assert res == exact_res
+def test_subproblem_cut_value_is_always_even(g, p, q):
+    # the cut around {k} + S exceeds the cut around k alone by
+    # 2q|S| - 2p(e(S, S) + e(S, k)), twice what the total gains over
+    # p times k's edges back when k joins S: so each minimum cut differs
+    # from the cut around k by an even amount, never a positive one, and
+    # the halves add up to the total less p|E|
+    gains = []
+
+    def spy(node_count, source, sink, to, adj, cap):
+        around_k = sum(cap[a] for a in adj[source])
+        value, level = dinic(node_count, source, sink, to, adj, cap)
+        gains.append(value - around_k)
+        return value, level
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(polymatroid, "dinic", spy)
+        total = cunningham_basis(g, p, q).total
+    assert all(gain % 2 == 0 and gain <= 0 for gain in gains)
+    assert total == p * g.edge_count + sum(gain // 2 for gain in gains)
 
 
-def test_karate_pass_carries_flow(karate, monkeypatch):
-    calls = spy_dinic(monkeypatch)
-    n, m = karate.vertex_count, karate.edge_count
-    _res, steps = record_greedy_pass(karate, n - 1, m)
-    assert len(steps) == m
-    graph_flow = [
-        any(call.cap[a] != call.cap[a + 1] for a in range(0, 2 * m, 2))
-        for call in calls
-    ]
-    assert not graph_flow[0]
-    assert any(graph_flow[1:])
-    # every way out of a solve is taken: no max-flow, a stopped one, a full cut
-    stopped = sum(call.stopped for call in calls)
-    assert len(calls) < m
-    assert 0 < stopped < len(calls)
-    assert len(calls) - stopped == sum(step.bound < step.cap for step in steps)
+def relabelled(g, rnd):
+    """g with its vertices renamed and its edges reordered at random, and
+    the new id of every old edge."""
+    names = list(range(g.vertex_count))
+    rnd.shuffle(names)
+    order = list(range(g.edge_count))
+    rnd.shuffle(order)
+    edges = tuple((names[g.edges[e][0]], names[g.edges[e][1]]) for e in order)
+    new_id = {old: new for new, old in enumerate(order)}
+    return MultiGraph(g.vertex_count, edges), new_id
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=6),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_basis_total_law_and_order_invariance(g, p, q, rnd):
+    res = cunningham_basis(g, p, q)
+    assert (res.total, res.candidate) == brute_basis(g, p, q)
+    # the sweep visits vertices in id order; the largest minimizer does not
+    # depend on it
+    other, new_id = relabelled(g, rnd)
+    res2 = cunningham_basis(other, p, q)
+    assert res2.total == res.total
+    assert res2.candidate == frozenset(new_id[e] for e in res.candidate)
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=6),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_candidate_splits_into_connected_parts(g, p, q):
+    # the candidate is exactly the cut of the parts it leaves, so removing
+    # it keeps every other edge inside a connected part
+    candidate = cunningham_basis(g, p, q).candidate
+    inside = set()
+    for comp in decompose_after_removal(g, candidate):
+        assert comp.graph.is_connected()
+        assert candidate.isdisjoint(comp.parent_edge_ids)
+        inside.update(comp.parent_edge_ids)
+    assert inside == set(range(g.edge_count)) - candidate
+
+
+@given(connected_multigraphs(max_vertices=7, max_extra=8),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_networks_have_at_most_n_plus_one_nodes(g, p, q):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_dinic(monkeypatch)
+        cunningham_basis(g, p, q)
+    # one cut per vertex but the first, on at most the parts before it, the
+    # vertex itself and the sink
+    assert len(calls) <= g.vertex_count - 1
+    assert all(call[0] <= g.vertex_count + 1 for call in calls)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=5),
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
-# only {1, 2} is too dense, so only the last cut can see it
+@example(graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)]), 1, 3)
+@settings(max_examples=60, deadline=None)
+def test_subproblem_matches_brute_force_mid_run(g, p, q):
+    # each vertex's cut: the network built from the finest optimum of the
+    # vertices before it, and the parts it merges with
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_dinic(monkeypatch)
+        cunningham_basis(g, p, q)
+    got = [(n, s, t, sorted(terminal.values()), pairs, glued, side)
+           for n, s, t, terminal, pairs, glued, side in calls]
+    assert got == expected_calls(g, p, q)
+
+
+@given(connected_multigraphs(max_vertices=6, max_extra=5),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+# only {1, 2} is too dense
 @example(graph_from_pairs(3, [(0, 1), (1, 2), (1, 2)]), 3, 5)
 @settings(max_examples=80, deadline=None)
 def test_density_test_matches_greedy_total_and_brute_force(g, p, q):
+    # p on every edge lies in the polymatroid of q times the rank exactly
+    # when the test at p/q totals p|E|, which the first probe of an ascent
+    # reads at theta(E)
     n, m = g.vertex_count, g.edge_count
     whole = Fraction(n - 1, m)
     for p, q in [(p, q), (whole.numerator, whole.denominator)]:
-        dense = density_violation(g, p, q)
-        assert (dense is None) == (cunningham_basis(g, p, q).total == p * m)
-        assert (dense is None) == (polymatroid_violation(g, [p] * m, q) is None)
-        if dense is not None:
-            inside = [e for e, (a, b) in enumerate(g.edges) if a in dense and b in dense]
-            assert p * len(inside) > q * (len(dense) - 1)
-
-
-@given(connected_multigraphs(max_vertices=6, max_extra=5),
-       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
-@example(graph_from_pairs(3, [(0, 1), (1, 2), (1, 2)]), 3, 5)
-@settings(max_examples=60, deadline=None)
-def test_density_cuts_force_their_vertices(g, p, q):
-    """Every network the density test hands to dinic: x' = p on every edge,
-    r joined to one vertex i with infinite capacity and to every other
-    vertex v with p deg(v), s joined to 0..i-1 with infinite capacity and
-    to the rest with 2q; the carried flow is feasible.  The cuts move up
-    one vertex at a time, and a short one is the last."""
-    n, m = g.vertex_count, g.edge_count
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = spy_dinic(monkeypatch)
-        dense = density_violation(g, p, q)
-    target = 2 * (p * m + q)
-    forced = []
-    for call in calls:
-        cap = call.cap
-        capacity = [(cap[2 * i] + cap[2 * i + 1]) // 2 for i in range(m + 2 * n)]
-        source_arcs, sink_arcs = capacity[m:m + n], capacity[m + n:]
-        assert capacity[:m] == [p] * m
-        (i,) = [v for v in range(n) if source_arcs[v] != p * len(g.incidence[v])]
-        infinite = source_arcs[i]
-        assert sink_arcs == [infinite] * i + [2 * q] * (n - i)
-        assert infinite > sum(capacity) - (i + 1) * infinite
-        forced.append(i)
-        assert call.stopped == (call.value >= target)
-    assert forced == sorted(set(forced))
-    assert all(i < n - 1 for i in forced)
-    if dense is None:
-        assert all(call.stopped for call in calls)
-    else:
-        assert calls and not calls[-1].stopped
-        assert all(call.stopped for call in calls[:-1])
-        assert min(dense) == forced[-1]
+        dense = any(
+            p * sum(a in part and b in part for a, b in g.edges) > q * (len(part) - 1)
+            for size in range(2, n + 1)
+            for part in map(set, combinations(range(n), size))
+        )
+        total = cunningham_basis(g, p, q).total
+        assert total == brute_basis(g, p, q)[0]
+        assert (total == p * m) == (not dense)

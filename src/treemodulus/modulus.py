@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .graph import MultiGraph, decompose_after_removal, require_connected
+from .graph import MultiGraph, decompose_after_removal
 from .vulnerability import vulnerability
 
 
@@ -38,7 +38,6 @@ class ModulusResult:
 def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
     """Optimal usage probabilities, optimal density and modulus of the
     spanning-tree family, all in exact rationals."""
-    require_connected(g, nontrivial=True)
     m = g.edge_count
     peel_of = [-1] * m  # index of the peel that assigned each edge
     trace: list[PeelRecord] = []
@@ -46,9 +45,9 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
     queue.append((g, tuple(range(m)), -1))
     while queue:
         sub, root_ids, parent_idx = queue.popleft()
+        found = vulnerability(sub)  # rejects a disconnected or trivial root
         if len(trace) >= m:
             raise InvariantViolation("peeling did not terminate within |E| rounds")
-        found = vulnerability(sub)
         if parent_idx >= 0 and found.theta > trace[parent_idx].theta:
             raise InvariantViolation(
                 f"component vulnerability {found.theta} exceeds parent {trace[parent_idx].theta}"

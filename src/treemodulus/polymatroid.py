@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flow import dinic
-from .graph import EdgeSubset, MultiGraph, require_connected
+from .graph import EdgeSubset, MultiGraph
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,11 @@ class BasisResult:
 def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     """The threshold test at rate p/q, with at most one min-cut per vertex.
 
-    ``g`` must be connected with at least two vertices, which is checked
-    here.  Among the vertices swept so far, ``part[v]`` labels v's part,
-    ``members[A]`` lists part A and ``links[A]`` counts the edges from A to
-    each other part.
+    The sweep is defined on any multigraph, connected or not; callers that
+    need a connected graph check it themselves.  Among the vertices swept
+    so far, ``part[v]`` labels v's part, ``members[A]`` lists part A and
+    ``links[A]`` counts the edges from A to each other part.
     """
-    require_connected(g, nontrivial=True)
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     n = g.vertex_count
@@ -94,61 +93,59 @@ def _merge_set(
     between distinct parts of S.
 
     Adding a part A to any S changes that by at least 2q - 2p(e(A, other
-    parts) + e(A, k)), so A never joins when this is not negative; it is
-    glued to the sink.  A piece of S tied neither to k nor to the rest of
-    S adds at least 2q, since merging the piece alone would not have
-    lowered the optimum over the vertices before k.  So the network holds
-    only the other parts, as far as they reach from k through each other
-    in the contracted graph.  It has k as node 0 and the sink as node 1,
-    and joins each pair of parts with capacity p times their edge count;
-    part A gets c_A = 2q - p(e(A, other parts) + 2e(A, k)) as a sink arc
-    when positive and -c_A as an arc from k when negative.  A source side
-    {k} + S then cuts the quantity above plus a constant, so the minimal
-    minimum cut is the smallest minimizing S.  Without an arc from k that
-    cut is {k} alone, and no max-flow runs.
+    parts) + e(A, k)), so A never joins when this is not negative.  A
+    piece of S tied neither to k nor to the rest of S adds at least 2q,
+    since merging the piece alone would not have lowered the optimum over
+    the vertices before k.  So the network holds only the parts that can
+    join, as far as they reach from k through each other in the contracted
+    graph.  It has k as node 0 and the sink as node 1, joins each pair of
+    parts with capacity p times their edge count, and gives part A the one
+    terminal value c_A = 2q - p(e(A, parts in the network) + 2e(A, k)), a
+    sink arc when positive and -c_A as an arc from k when negative.  A
+    source side {k} + S then cuts the quantity above plus a constant, so
+    the minimal minimum cut is the smallest minimizing S.  Without an arc
+    from k that cut is {k} alone, and no network is built.
     """
     source, sink = 0, 1
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[], []]
-    index: dict[int, int] = {}
+    node: dict[int, int] = {}  # a part's node, or -1 when it never joins
     order: list[int] = []  # the part at node i + 2
-    outside: list[int] = []
+    terminal: list[int] = []  # c_A, in node order
 
     def enter(label: int) -> int:
-        out = sum(links[label].values())
-        if p * (out + to_k.get(label, 0)) <= q:
-            index[label] = sink
+        if p * (sum(links[label].values()) + to_k.get(label, 0)) <= q:
+            node[label] = -1
         else:
-            index[label] = len(adj)
-            adj.append([])
+            node[label] = len(order) + 2
             order.append(label)
-            outside.append(out)
-        return index[label]
+        return node[label]
 
     for label in to_k:
         enter(label)
-    has_source_arc = False
-    for i, label in enumerate(order, 2):  # breadth-first
+    for label in order:  # breadth-first
+        inner = 0
         for other, count in links[label].items():
-            j = index.get(other)
-            if j is None:
-                j = enter(other)
-            elif 1 < j < i:
-                continue  # one arc pair per pair of parts, p * count each way
-            adj[i].append(len(to))
-            adj[j].append(len(to) + 1)
-            to += (j, i)
-            cap += (p * count, p * count)
-        c_i = 2 * q - p * (outside[i - 2] + 2 * to_k.get(label, 0))
+            if (node.get(other) or enter(other)) > 0:  # no node is 0
+                inner += count
+        terminal.append(2 * q - p * (inner + 2 * to_k.get(label, 0)))
+    if min(terminal, default=0) >= 0:
+        return []
+    to: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(len(order) + 2)]
+    for i, label in enumerate(order, 2):
+        for other, count in links[label].items():
+            j = node[other]
+            if j > i:  # one arc pair per pair of parts, p * count each way
+                adj[i].append(len(to))
+                adj[j].append(len(to) + 1)
+                to += (j, i)
+                cap += (p * count, p * count)
+        c_i = terminal[i - 2]
         if c_i:
             u, v = (i, sink) if c_i > 0 else (source, i)
             adj[u].append(len(to))
             adj[v].append(len(to) + 1)
             to += (v, u)
             cap += (abs(c_i), 0)
-            has_source_arc |= c_i < 0
-    if not has_source_arc:
-        return []
     _value, level = dinic(len(adj), source, sink, to, adj, cap)
     return [label for i, label in enumerate(order, 2) if level[i] != -1]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from treemodulus import polymatroid
-from treemodulus.errors import DisconnectedGraphError
 from treemodulus.flow import dinic
 from treemodulus.graph import MultiGraph, _DisjointSet, decompose_after_removal
 from treemodulus.polymatroid import _merge_set, cunningham_basis
@@ -17,24 +16,23 @@ from conftest import connected_multigraphs, graph_from_pairs
 def spy_dinic(monkeypatch):
     """Record every network the sweep hands to dinic, as the tuple
     (node count, source, sink, {node: signed terminal capacity}, sorted
-    capacities between parts, sorted capacities from parts glued to the
-    sink, source-side node count).
+    capacities between parts, source-side node count).
 
     A source arc s -> A of capacity c is read as terminal -c and a sink arc
-    A -> t as terminal c, which is c_A in either case; an arc pair between
-    two parts, or between a part and the sink standing for a glued part,
-    carries the same capacity both ways.
+    A -> t as terminal c, which is c_A in either case; every node has at
+    most one of them.  An arc pair between two parts carries the same
+    capacity both ways, and no such pair touches k or the sink.
     """
     calls = []
 
     def spy(node_count, source, sink, to, adj, cap):
-        terminal, pairs, glued = {}, [], []
+        terminal, pairs = {}, []
         for a in range(0, len(to), 2):
             u, v = to[a + 1], to[a]
             assert source != v and sink != u
             if cap[a] == cap[a + 1]:
-                assert source != u
-                (glued if v == sink else pairs).append(cap[a])
+                assert source != u and sink != v
+                pairs.append(cap[a])
             else:
                 assert cap[a + 1] == 0 and (u == source) != (v == sink)
                 node = v if u == source else u
@@ -42,7 +40,7 @@ def spy_dinic(monkeypatch):
                 terminal[node] = -cap[a] if u == source else cap[a]
         value, level = dinic(node_count, source, sink, to, adj, cap)
         side = sum(level[v] != -1 for v in range(node_count) if v != source)
-        calls.append((node_count, source, sink, terminal, sorted(pairs), sorted(glued), side))
+        calls.append((node_count, source, sink, terminal, sorted(pairs), side))
         return value, level
 
     monkeypatch.setattr(polymatroid, "dinic", spy)
@@ -106,23 +104,23 @@ def expected_calls(g, p, q):
         after = finest_partition(induced, p, q)
         to_k, links = merge_state(g, before, k)
         # a part joins k only if p(e(A, other parts) + e(A, k)) > q; the
-        # others are glued to the sink, and the network holds the parts the
-        # first kind reach from k
+        # network holds the parts of that kind that reach from k through
+        # each other, and the edges to the others leave the terminals
         def kept(part):
             return p * (sum(links.get(part, {}).values()) + to_k.get(part, 0)) > q
 
         component = {part for part in to_k if kept(part)}
         frontier = list(component)
-        glued = []
         while frontier:
-            for other, count in links.get(frontier.pop(), {}).items():
-                if not kept(other):
-                    glued.append(p * count)
-                elif other not in component:
+            for other in links.get(frontier.pop(), {}):
+                if kept(other) and other not in component:
                     component.add(other)
                     frontier.append(other)
         terminal = [
-            2 * q - p * (sum(links.get(part, {}).values()) + 2 * to_k.get(part, 0))
+            2 * q - p * (
+                sum(count for other, count in links.get(part, {}).items() if other in component)
+                + 2 * to_k.get(part, 0)
+            )
             for part in component
         ]
         joined = {before[v] for v in range(k) if after[v] == after[k]}
@@ -132,16 +130,14 @@ def expected_calls(g, p, q):
             pairs = sorted(
                 p * links[x][y] for x, y in combinations(order, 2) if y in links.get(x, {})
             )
-            calls.append((
-                c + 2, 0, 1, sorted(t for t in terminal if t), pairs, sorted(glued), len(joined),
-            ))
+            calls.append((c + 2, 0, 1, sorted(t for t in terminal if t), pairs, len(joined)))
         else:
             assert not joined  # no cut runs, and k starts a part of its own
         before = after
     return calls
 
 
-class TestBuildAuxNetwork:
+class TestMergeNetwork:
     def test_single_edge_unit(self, monkeypatch):
         g = graph_from_pairs(2, [(0, 1)])
         calls = spy_dinic(monkeypatch)
@@ -151,23 +147,23 @@ class TestBuildAuxNetwork:
         # at 2/1 the part {0} gets c = 2q - 2p = -2: an arc from vertex 1
         # and no sink arc, so the part joins vertex 1
         assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), 1)
-        assert calls == [(3, 0, 1, {2: -2}, [], [], 1)]
+        assert calls == [(3, 0, 1, {2: -2}, [], 1)]
 
     def test_incident_sums_on_source_arcs(self, monkeypatch):
         # a path 0-1-2-3 with a doubled middle edge, then vertex 4 joined
-        # to 0 and 3; each part A gets c_A = 2q - p(e(A, other parts) +
-        # 2e(A, k)), an arc from k when negative and to the sink when positive
+        # to 0 and 3; each part A in the network gets c_A = 2q - p(e(A,
+        # parts in the network) + 2e(A, k)), an arc from k when negative
+        # and to the sink when positive
         g = graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)])
         calls = spy_dinic(monkeypatch)
         result = cunningham_basis(g, 2, 3)
         # vertex 1 and vertex 3 have one edge back, 2 <= q: no cut.  Vertex
-        # 2 sees part {1} twice, node 2 with 6 - 2(1 + 2*2) = -4, and
-        # through it part {0}, whose one edge cannot pay for a merge
-        # (2 * 1 <= q), so it is glued to the sink; the cut of 2 along it
-        # leaves {1} on the source side.  Vertex 4 sees {0} and {3} once
-        # each and {1, 2} through them: 6 - 2(1 + 2) = 0 twice and
-        # 6 - 2*2 = 2, no arc from vertex 4
-        assert calls == [(3, 0, 1, {2: -4}, [], [2], 1)]
+        # 2 sees part {1} twice and through it part {0}, whose one edge
+        # cannot pay for a merge (2 * 1 <= q), so it stays out of the
+        # network: node 2 gets 6 - 2(0 + 2*2) = -2, and {1} is the source
+        # side.  Vertex 4 sees {0} and {3} once each and {1, 2} through
+        # them: 6 - 2(1 + 2) = 0 twice and 6 - 2*2 = 2, no arc from vertex 4
+        assert calls == [(3, 0, 1, {2: -2}, [], 1)]
         assert result.candidate == frozenset({0, 3, 4, 5})
         assert result.total == 3 * 1 + 2 * 4
         # at 3/2 every vertex merges with the one part before it
@@ -176,7 +172,7 @@ class TestBuildAuxNetwork:
         assert [call[3] for call in calls] == [{2: -2}, {2: -8}, {2: -2}, {2: -8}]
 
 
-class TestMinTightIncrement:
+class TestMergeSet:
     """The sweep's step at vertex k: the parts k joins are the smallest set
     S of earlier parts minimizing 2q|S| - 2p(e(S, S) + e(S, k)), and the
     total rises by p times k's edges back plus half that minimum.  Parts
@@ -243,15 +239,6 @@ class TestCunninghamBasis:
         assert res.total == 1
         assert res.candidate == frozenset({0})
 
-    def test_disconnected_rejected(self):
-        g = graph_from_pairs(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError):
-            cunningham_basis(g, 1, 2)
-
-    def test_trivial_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            cunningham_basis(MultiGraph(1, ()), 1, 1)
-
     def test_candidate_entries_hit_the_cap(self, bridge_triangles):
         # a greedy pass raises every edge of a minimizing J to its cap p,
         # so the candidate must minimize, and every edge outside it must
@@ -288,7 +275,7 @@ def test_feasible_throughout_and_monotone(g, p, q):
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
-def test_subproblem_cut_value_is_always_even(g, p, q):
+def test_merge_cut_gains_are_even_and_sum_to_the_total(g, p, q):
     # the cut around {k} + S exceeds the cut around k alone by
     # 2q|S| - 2p(e(S, S) + e(S, k)), twice what the total gains over
     # p times k's edges back when k joins S: so each minimum cut differs
@@ -336,6 +323,36 @@ def test_basis_total_law_and_order_invariance(g, p, q, rnd):
     assert res2.candidate == frozenset(new_id[e] for e in res.candidate)
 
 
+@st.composite
+def disconnected_multigraphs(draw):
+    """Two or three connected multigraphs or lone vertices side by side,
+    with their vertices interleaved at random."""
+    pieces = draw(st.lists(
+        st.one_of(st.just(MultiGraph(1, ())), connected_multigraphs(max_vertices=4, max_extra=2)),
+        min_size=2,
+        max_size=3,
+    ))
+    n = sum(piece.vertex_count for piece in pieces)
+    names = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for piece in pieces:
+        edges += [(names[a + offset], names[b + offset]) for a, b in piece.edges]
+        offset += piece.vertex_count
+    return MultiGraph(n, tuple(edges))
+
+
+@given(disconnected_multigraphs(),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+@example(MultiGraph(1, ()), 1, 1)
+@example(graph_from_pairs(4, [(0, 1), (2, 3)]), 1, 2)
+@settings(max_examples=60, deadline=None)
+def test_sweep_needs_no_connectivity(g, p, q):
+    # the sweep is defined on any multigraph: on a disconnected one, or a
+    # lone vertex, it still gives the brute-force total and largest minimizer
+    res = cunningham_basis(g, p, q)
+    assert (res.total, res.candidate) == brute_basis(g, p, q)
+
+
 @given(connected_multigraphs(max_vertices=6, max_extra=6),
        st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7))
 @settings(max_examples=60, deadline=None)
@@ -368,14 +385,14 @@ def test_networks_have_at_most_n_plus_one_nodes(g, p, q):
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 @example(graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)]), 1, 3)
 @settings(max_examples=60, deadline=None)
-def test_subproblem_matches_brute_force_mid_run(g, p, q):
+def test_merge_networks_match_brute_force(g, p, q):
     # each vertex's cut: the network built from the finest optimum of the
     # vertices before it, and the parts it merges with
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = spy_dinic(monkeypatch)
         cunningham_basis(g, p, q)
-    got = [(n, s, t, sorted(terminal.values()), pairs, glued, side)
-           for n, s, t, terminal, pairs, glued, side in calls]
+    got = [(n, s, t, sorted(terminal.values()), pairs, side)
+           for n, s, t, terminal, pairs, side in calls]
     assert got == expected_calls(g, p, q)
 
 
@@ -384,7 +401,7 @@ def test_subproblem_matches_brute_force_mid_run(g, p, q):
 # only {1, 2} is too dense
 @example(graph_from_pairs(3, [(0, 1), (1, 2), (1, 2)]), 3, 5)
 @settings(max_examples=80, deadline=None)
-def test_density_test_matches_greedy_total_and_brute_force(g, p, q):
+def test_total_is_p_m_exactly_when_no_set_is_too_dense(g, p, q):
     # p on every edge lies in the polymatroid of q times the rank exactly
     # when the test at p/q totals p|E|, which the first probe of an ascent
     # reads at theta(E)

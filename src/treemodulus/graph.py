@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraphError, ParseError
 
@@ -45,7 +45,10 @@ class MultiGraph:
         for eid, (a, b) in enumerate(self.edges):
             inc[a].append(eid)
             inc[b].append(eid)
-        return tuple(tuple(v) for v in inc)
+        # a tuple of a list, not of a generator: CPython starts a tuple from a
+        # generator at a guessed size and resizes it, so it is freed onto
+        # another size's free list, which then grows with every graph built
+        return tuple([tuple(v) for v in inc])
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -195,6 +198,24 @@ def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> tuple[Comp
         Component(tuple(vs), MultiGraph(len(vs), tuple(es)), tuple(ids))
         for vs, es, ids in parts.values()
     )
+
+
+def quotient(
+    g: MultiGraph, part: Sequence[int], kept: Iterable[int]
+) -> tuple[MultiGraph, tuple[int, ...]]:
+    """The graph with each part of a vertex partition made one vertex.
+
+    ``part[v]`` labels v's part; parts are numbered in order of their
+    smallest member.  The quotient's edges are ``kept``, in id order, and
+    each must join two parts.  Returns the quotient and the id in ``g`` of
+    each of its edges.
+    """
+    index: dict[int, int] = {}
+    for label in part:
+        index.setdefault(label, len(index))
+    ids = tuple(sorted(kept))
+    edges = tuple([(index[part[a]], index[part[b]]) for a, b in (g.edges[e] for e in ids)])
+    return MultiGraph(len(index), edges), ids
 
 
 def bridges(g: MultiGraph) -> EdgeSubset:

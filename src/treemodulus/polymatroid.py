@@ -20,6 +20,7 @@ keeps the finest optimum, whose cut is the largest minimizing J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .flow import dinic
 from .graph import EdgeSubset, MultiGraph
@@ -31,11 +32,14 @@ class BasisResult:
 
     ``total`` is min over edge sets J of p|J| + q r(E - J), what a greedy
     pass at that rate totals at scale q, and ``candidate`` the largest
-    minimizing J.
+    minimizing J.  ``part`` labels each vertex with its part in the finest
+    minimizing partition, whose cut is ``candidate``; a label is the id of
+    one member of the part.
     """
 
     candidate: EdgeSubset
     total: int
+    part: tuple[int, ...]
 
 
 def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
@@ -43,8 +47,9 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
 
     The sweep is defined on any multigraph, connected or not; callers that
     need a connected graph check it themselves.  Among the vertices swept
-    so far, ``part[v]`` labels v's part, ``members[A]`` lists part A and
-    ``links[A]`` counts the edges from A to each other part.
+    so far, ``part[v]`` labels v's part, ``members[A]`` lists part A,
+    ``links[A]`` counts the edges from A to each other part and
+    ``degree[A]`` sums those counts.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
@@ -53,6 +58,7 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
     part = list(range(n))
     members = [[v] for v in range(n)]
     links: dict[int, dict[int, int]] = {}
+    degree = [0] * n
     for k in range(n):
         to_k: dict[int, int] = {}
         for e in g.incidence[k]:
@@ -61,7 +67,9 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
             if w < k:
                 label = part[w]
                 to_k[label] = to_k.get(label, 0) + 1
-        merged = _merge_set(to_k, links, p, q) if p * sum(to_k.values()) > q else []
+        merged = _merge_set(to_k, links, degree, p, q) if p * sum(to_k.values()) > q else []
+        for other, count in to_k.items():
+            degree[other] += count
         # contract k and the merged parts into the largest of them
         merged.append(k)
         label = max(merged, key=lambda old: len(members[old]))
@@ -81,16 +89,23 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
                 side.pop(old, None)
             side[label] = count
         links[label] = joined
+        degree[label] = sum(joined.values())
     candidate = frozenset(e for e, (a, b) in enumerate(edges) if part[a] != part[b])
-    return BasisResult(candidate=candidate, total=q * (n - len(links)) + p * len(candidate))
+    return BasisResult(
+        candidate=candidate, total=q * (n - len(links)) + p * len(candidate), part=tuple(part)
+    )
 
 
 def _merge_set(
-    to_k: dict[int, int], links: dict[int, dict[int, int]], p: int, q: int
+    to_k: dict[int, int],
+    links: dict[int, dict[int, int]],
+    degree: Sequence[int],
+    p: int,
+    q: int,
 ) -> list[int]:
     """The parts that vertex k joins: the smallest set S of parts that
     minimizes 2q|S| - 2p(e(S, S) + e(S, k)), e(S, S) counting the edges
-    between distinct parts of S.
+    between distinct parts of S; ``degree[A]`` is e(A, other parts).
 
     Adding a part A to any S changes that by at least 2q - 2p(e(A, other
     parts) + e(A, k)), so A never joins when this is not negative.  A
@@ -112,7 +127,7 @@ def _merge_set(
     terminal: list[int] = []  # c_A, in node order
 
     def enter(label: int) -> int:
-        if p * (sum(links[label].values()) + to_k.get(label, 0)) <= q:
+        if p * (degree[label] + to_k.get(label, 0)) <= q:
             node[label] = -1
         else:
             node[label] = len(order) + 2

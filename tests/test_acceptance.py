@@ -167,7 +167,7 @@ def test_criterion_5_fallback_certification(monkeypatch, capsys):
     def force_empty_at_theta(graph, p, q, **kwargs):
         result = real(graph, p, q, **kwargs)
         if Fraction(p, q) == true_theta:
-            return BasisResult(candidate=frozenset(), total=result.total)
+            return BasisResult(candidate=frozenset(), total=result.total, part=result.part)
         return result
 
     monkeypatch.setattr(vuln_mod, "cunningham_basis", force_empty_at_theta)

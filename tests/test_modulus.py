@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from treemodulus.errors import DisconnectedGraphError
+from treemodulus.generators import geometric_graph, gnp_graph
 from treemodulus.graph import MultiGraph
 from treemodulus.modulus import eta_histogram, spanning_tree_modulus
 from treemodulus.oracle import brute_modulus, verify_modulus
@@ -117,3 +119,24 @@ def test_matches_brute_force_recursion(g):
     assert result.eta == reference.eta
     assert result.modulus == reference.modulus
     check_all(g, result)
+
+
+def eta_digest(eta):
+    text = ",".join(f"{x.numerator}/{x.denominator}" for x in eta)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("make, peels, digest", [
+    # the C. elegans stand-in: 453 vertices, 2,708 edges, 5 levels
+    (lambda: gnp_graph(453, 1), 5, "ffbb8087840a69a1"),
+    # 200 vertices, 2,380 edges, 19 levels, each peel taking 2 to 6 probes
+    (lambda: geometric_graph(200, 1), 19, "8f965290332f5d6a"),
+], ids=["gnp453", "geo200"])
+def test_large_graphs_keep_their_eta(make, peels, digest):
+    # the exact usage probabilities of the two largest generated graphs
+    # solved so far, pinned by a sha256 of "num/den,..." cut to 16 hex digits
+    g = make()
+    result = spanning_tree_modulus(g)
+    assert verify_modulus(g, result).all_passed
+    assert len(result.trace) == peels
+    assert eta_digest(result.eta) == digest

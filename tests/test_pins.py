@@ -78,8 +78,9 @@ print(json.dumps({
 
 def test_traced_multilevel_pass_counts():
     # the --trace 1 path of perfbench/run.py on its multilevel trace set;
-    # the counts are those of the folded merge-network benchmark point,
-    # BENCH_14.json: every probe of a bridgeless peel is one sweep
+    # the counts are those of the contracted-ascent benchmark point,
+    # BENCH_15.json: every probe of a bridgeless peel is one sweep, each
+    # after a peel's first on the quotient by the previous probe's parts
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_CHILD, str(PERFBENCH)],
         capture_output=True,
@@ -92,5 +93,5 @@ def test_traced_multilevel_pass_counts():
     assert report["missing"] == []
     counts = report["counts"]
     assert (counts["graphs"], counts["peels"], counts["passes"]) == (10, 69, 111)
-    assert counts["mincuts"] == 859
+    assert counts["mincuts"] == 498
     assert counts["fallbacks"] == 0

@@ -2,11 +2,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treemodulus import polymatroid
 from treemodulus.flow import dinic
-from treemodulus.graph import MultiGraph, _DisjointSet, decompose_after_removal
+from treemodulus.graph import MultiGraph, _DisjointSet, decompose_after_removal, quotient
 from treemodulus.polymatroid import _merge_set, cunningham_basis
 
 from brute import brute_basis, brute_greedy_pass, graphic_rank, polymatroid_violation
@@ -142,11 +142,11 @@ class TestMergeNetwork:
         g = graph_from_pairs(2, [(0, 1)])
         calls = spy_dinic(monkeypatch)
         # at p = q = 1 vertex 1's one edge cannot pay for a merge: no cut
-        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), 1)
+        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), 1, (0, 1))
         assert calls == []
         # at 2/1 the part {0} gets c = 2q - 2p = -2: an arc from vertex 1
         # and no sink arc, so the part joins vertex 1
-        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), 1)
+        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), 1, (0, 0))
         assert calls == [(3, 0, 1, {2: -2}, [], 1)]
 
     def test_incident_sums_on_source_arcs(self, monkeypatch):
@@ -172,6 +172,15 @@ class TestMergeNetwork:
         assert [call[3] for call in calls] == [{2: -2}, {2: -8}, {2: -2}, {2: -8}]
 
 
+def merge_set(to_k, links, p, q):
+    """``_merge_set`` with each part's degree summed from ``links``, as the
+    sweep keeps it."""
+    degree = [0] * (max(links, default=-1) + 1)
+    for label, side in links.items():
+        degree[label] = sum(side.values())
+    return _merge_set(to_k, links, degree, p, q)
+
+
 class TestMergeSet:
     """The sweep's step at vertex k: the parts k joins are the smallest set
     S of earlier parts minimizing 2q|S| - 2p(e(S, S) + e(S, k)), and the
@@ -183,23 +192,23 @@ class TestMergeSet:
         # vertex 2 of the triangle against {0} and {1}, nothing merged
         # before it: S = {0} scores 2q - 2p and S = {0, 1} scores 4q - 6p
         to_k, links = {0: 1, 1: 1}, {0: {1: 1}, 1: {0: 1}}
-        assert sorted(_merge_set(to_k, links, 1, 1)) == [0, 1]
-        assert _merge_set(to_k, links, 2, 3) == []  # tied with S empty
-        assert _merge_set(to_k, links, 1, 2) == []
+        assert sorted(merge_set(to_k, links, 1, 1)) == [0, 1]
+        assert merge_set(to_k, links, 2, 3) == []  # tied with S empty
+        assert merge_set(to_k, links, 1, 2) == []
 
     def test_single_edge(self):
         # vertex 1 of one edge: S = {0} scores 2q - 2p
         to_k, links = {0: 1}, {0: {}}
-        assert _merge_set(to_k, links, 2, 1) == [0]
-        assert _merge_set(to_k, links, 1, 1) == []  # tied with S empty
-        assert _merge_set(to_k, links, 1, 5) == []
+        assert merge_set(to_k, links, 2, 1) == [0]
+        assert merge_set(to_k, links, 1, 1) == []  # tied with S empty
+        assert merge_set(to_k, links, 1, 5) == []
 
     def test_triangle_partial(self):
         # vertex 2 of the triangle once {0, 1} is one part, which the
         # finest optimum holds when p > q: S = {0} scores 2q - 4p < 0
         to_k, links = {0: 2}, {0: {}}
         for p, q in [(2, 1), (3, 2), (5, 4)]:
-            assert _merge_set(to_k, links, p, q) == [0]
+            assert merge_set(to_k, links, p, q) == [0]
 
     def test_agrees_with_brute_force_examples(self, triangle, k4, bridge_triangles, path4):
         # every step of the sweep, from the finest optimum of the vertices
@@ -211,7 +220,7 @@ class TestMergeSet:
                 before = []
                 for k in range(g.vertex_count):
                     to_k, links = merge_state(g, before, k)
-                    got = sorted(_merge_set(to_k, links, p, q))
+                    got = sorted(merge_set(to_k, links, p, q))
                     assert got == smallest_merge(to_k, links, p, q)
                     induced = MultiGraph(
                         k + 1, tuple((a, b) for a, b in g.edges if a <= k and b <= k)
@@ -358,14 +367,49 @@ def test_sweep_needs_no_connectivity(g, p, q):
 @settings(max_examples=60, deadline=None)
 def test_candidate_splits_into_connected_parts(g, p, q):
     # the candidate is exactly the cut of the parts it leaves, so removing
-    # it keeps every other edge inside a connected part
-    candidate = cunningham_basis(g, p, q).candidate
+    # it keeps every other edge inside a connected part, and those parts
+    # are the ones ``part`` labels, each by one of its members
+    res = cunningham_basis(g, p, q)
+    candidate = res.candidate
     inside = set()
     for comp in decompose_after_removal(g, candidate):
         assert comp.graph.is_connected()
         assert candidate.isdisjoint(comp.parent_edge_ids)
         inside.update(comp.parent_edge_ids)
+        assert {res.part[v] for v in comp.vertices} <= set(comp.vertices)
+        assert len({res.part[v] for v in comp.vertices}) == 1
     assert inside == set(range(g.edge_count)) - candidate
+
+
+rates = st.builds(
+    Fraction, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)
+)
+
+
+@given(connected_multigraphs(max_vertices=10, max_extra=6), rates, rates)
+@example(graph_from_pairs(7, [
+    (0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (2, 6), (4, 6), (5, 0), (1, 0), (4, 1), (1, 0),
+]), Fraction(6, 11), Fraction(5, 8))
+@settings(max_examples=100, deadline=None)
+def test_finest_partition_coarsens_and_the_quotient_sweep_agrees(g, r1, r2):
+    # the finest minimizing partition at a higher rate is coarser, so the
+    # sweep on the quotient by the lower rate's partition, whose edges are
+    # its candidate, finds the same largest minimizer, with q per vertex
+    # contracted away added to its total
+    assume(r1 != r2)
+    r1, r2 = sorted((r1, r2))
+    p, q = r2.numerator, r2.denominator
+    low = cunningham_basis(g, r1.numerator, r1.denominator)
+    high = cunningham_basis(g, p, q)
+    # a label is a member of its part, so v shares a part at r2 with the
+    # member that labels its part at r1
+    assert all(high.part[v] == high.part[low.part[v]] for v in range(g.vertex_count))
+    sub, ids = quotient(g, low.part, low.candidate)
+    assert sub.vertex_count == len(set(low.part))
+    run = cunningham_basis(sub, p, q)
+    assert frozenset(ids[e] for e in run.candidate) == high.candidate
+    assert q * (g.vertex_count - sub.vertex_count) + run.total == high.total
+    assert (high.total, high.candidate) == brute_basis(g, p, q)
 
 
 @given(connected_multigraphs(max_vertices=7, max_extra=8),

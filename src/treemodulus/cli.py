@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 2 parse error, unreadable file or usage error,
 3 disconnected or trivial input, 4 size guard / generator cap exceeded,
-5 internal invariant violation.
+5 internal invariant violation, 1 any other package error.
 """
 
 from __future__ import annotations
@@ -37,10 +37,15 @@ PALETTE = [
     "#a6761d", "#666666", "#1f78b4", "#b2df8a", "#fb9a99", "#cab2d6",
 ]
 
-EXIT_PARSE = 2
-EXIT_DISCONNECTED = 3
-EXIT_GUARD = 4
-EXIT_INVARIANT = 5
+# each error's exit code, the first entry that it is an instance of
+EXIT_CODES = (
+    (ParseError, 2),
+    (DisconnectedGraphError, 3),
+    ((SizeGuardExceeded, GeneratorError), 4),
+    (InvariantViolation, 5),
+    (OSError, 2),
+    (GraphError, 1),
+)
 
 MIN_FAMILY_SIZE = 2  # smallest size option every generator family accepts
 
@@ -381,24 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
+    except (GraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except DisconnectedGraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except (SizeGuardExceeded, GeneratorError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_GUARD
-    except InvariantViolation as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

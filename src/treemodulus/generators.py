@@ -14,6 +14,7 @@ from .errors import GeneratorError
 from .graph import MultiGraph
 
 ATTEMPT_CAP = 200
+PARALLEL_PROB = 0.25  # chance that an extra edge of random_connected_multigraph is parallel
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,11 +118,10 @@ def geometric_graph(n: int, seed: int) -> MultiGraph:
     )
 
 
-def random_connected_multigraph(
-    n: int, extra_edges: int, seed: int, parallel_prob: float = 0.25
-) -> MultiGraph:
+def random_connected_multigraph(n: int, extra_edges: int, seed: int) -> MultiGraph:
     """Small connected multigraph: a random spanning tree plus extra edges,
-    some of which duplicate existing ones to exercise parallel handling."""
+    each of which duplicates an existing one with probability
+    ``PARALLEL_PROB`` to exercise parallel handling."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = SplitMix64(seed)
@@ -129,7 +129,7 @@ def random_connected_multigraph(
     for v in range(1, n):
         edges.append((rng.below(v), v))
     for _ in range(extra_edges):
-        if edges and rng.uniform() < parallel_prob:
+        if edges and rng.uniform() < PARALLEL_PROB:
             edges.append(edges[rng.below(len(edges))])
         else:
             a = rng.below(n)

@@ -30,15 +30,13 @@ from .graph import EdgeSubset, MultiGraph
 class BasisResult:
     """Outcome of one threshold test at rate p/q.
 
-    ``total`` is min over edge sets J of p|J| + q r(E - J), what a greedy
-    pass at that rate totals at scale q, and ``candidate`` the largest
-    minimizing J.  ``part`` labels each vertex with its part in the finest
-    minimizing partition, whose cut is ``candidate``; a label is the id of
-    one member of the part.
+    ``part`` labels each vertex with its part in the finest partition
+    minimizing q(n - |P|) + p|cut|, a label being the id of one member of
+    the part, and ``candidate`` is its cut: the largest edge set J that
+    minimizes p|J| + q r(E - J).
     """
 
     candidate: EdgeSubset
-    total: int
     part: tuple[int, ...]
 
 
@@ -91,9 +89,7 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
         links[label] = joined
         degree[label] = sum(joined.values())
     candidate = frozenset(e for e, (a, b) in enumerate(edges) if part[a] != part[b])
-    return BasisResult(
-        candidate=candidate, total=q * (n - len(links)) + p * len(candidate), part=tuple(part)
-    )
+    return BasisResult(candidate=candidate, part=tuple(part))
 
 
 def _merge_set(

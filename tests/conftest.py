@@ -14,6 +14,12 @@ def graph_from_pairs(n, pairs):
     return MultiGraph(n, tuple(tuple(e) for e in pairs))
 
 
+def basis_total(res, p, q):
+    """What a threshold test's result totals, min over J of p|J| + q r(E - J):
+    q(n - |P|) + p|cut| for its finest partition P, whose cut is the candidate."""
+    return q * (len(res.part) - len(set(res.part))) + p * len(res.candidate)
+
+
 @pytest.fixture
 def triangle():
     return graph_from_pairs(3, [(0, 1), (1, 2), (0, 2)])

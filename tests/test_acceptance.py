@@ -14,8 +14,9 @@ import pytest
 
 import treemodulus.vulnerability
 from treemodulus.cli import fit_loglog_slope, main
+from treemodulus.errors import InvariantViolation
 from treemodulus.generators import SplitMix64
-from treemodulus.graph import MultiGraph, parse_edge_list, theta_of_set
+from treemodulus.graph import MultiGraph, parse_edge_list
 from treemodulus.modulus import eta_histogram, spanning_tree_modulus
 from treemodulus.oracle import (
     brute_modulus,
@@ -29,6 +30,7 @@ from treemodulus.vulnerability import vulnerability
 import sys
 
 from brute import brute_basis
+from conftest import basis_total
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KARATE = FIXTURES / "karate.edges"
@@ -125,7 +127,7 @@ def test_criterion_3_oracle_equivalence(corpus, capsys):
         # a threshold test at a random rate, total and candidate
         p, q = 1 + rng.below(4), 1 + rng.below(6)
         basis = cunningham_basis(g, p, q)
-        assert (basis.total, basis.candidate) == brute_basis(g, p, q), name
+        assert (basis_total(basis, p, q), basis.candidate) == brute_basis(g, p, q), name
         probes += 1
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -157,40 +159,43 @@ def test_criterion_4_invariant_suite(corpus, capsys):
         )
 
 
-def test_criterion_5_fallback_certification(monkeypatch, capsys):
-    # bridgeless and not uniformly dense, so the value comes from a direct run;
-    # when that run comes back empty the ascent's held set is returned
-    g = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)))
-    true_theta = brute_theta(g)[0]
+def test_criterion_5_fallback_certification(monkeypatch, capsys, tmp_path):
+    # a threshold test that cuts fewer than every edge at the exact value is
+    # a faulty sweep, and no held set stands in for it: the ascent raises
+    # InvariantViolation, both on the first probe of a uniformly dense graph
+    # and after an ascent, and `treemod vuln` exits 5 with one error line
+    graphs = [
+        MultiGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))),
+        MultiGraph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3))),
+    ]
+    faults = [lambda candidate: frozenset(), lambda candidate: candidate - {min(candidate)}]
     real = cunningham_basis
+    caught = 0
+    for g in graphs:
+        true_theta = brute_theta(g)[0]
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{a} {b}\n" for a, b in g.edges))
+        for fault in faults:
+            def faulty_at_theta(graph, p, q):
+                result = real(graph, p, q)
+                if Fraction(p, q) == true_theta:
+                    return BasisResult(candidate=fault(result.candidate), part=result.part)
+                return result
 
-    def force_empty_at_theta(graph, p, q, **kwargs):
-        result = real(graph, p, q, **kwargs)
-        if Fraction(p, q) == true_theta:
-            return BasisResult(candidate=frozenset(), total=result.total, part=result.part)
-        return result
-
-    monkeypatch.setattr(vuln_mod, "cunningham_basis", force_empty_at_theta)
-    result = vuln_mod.vulnerability(g)
-    ok = (
-        result.used_fallback
-        and result.theta == true_theta
-        and bool(result.critical)
-        and theta_of_set(g, result.critical) == result.theta
-    )
-    # no run follows the passing one at the exact value
-    last = result.probes[-1]
-    last_passes_at_theta = (
-        (last.p, last.q) == (true_theta.numerator, true_theta.denominator)
-        and last.basis_total is not None
-        and last.basis_total >= last.q * (g.vertex_count - 1)
-    )
+            monkeypatch.setattr(vuln_mod, "cunningham_basis", faulty_at_theta)
+            with pytest.raises(InvariantViolation, match=f"failed test at {true_theta} "):
+                vuln_mod.vulnerability(g)
+            code = main(["vuln", str(path)])
+            err = capsys.readouterr().err
+            one_line = err.startswith("error: failed test at ") and err.count("\n") == 1
+            caught += code == 5 and one_line
     with capsys.disabled():
         report(
             5,
-            ok and last_passes_at_theta,
-            "forced-empty direct run at the exact value returned the set the "
-            "ascent held, and that set is critical",
+            caught == len(graphs) * len(faults),
+            "an empty or short candidate at the exact value raised InvariantViolation "
+            f"and made `treemod vuln` exit 5 in {caught} of {len(graphs) * len(faults)} cases, "
+            "on the first probe and after an ascent",
         )
 
 

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from treemodulus import cli
 from treemodulus.cli import main
+from treemodulus.errors import (
+    DisconnectedGraphError,
+    GeneratorError,
+    GraphError,
+    InvariantViolation,
+    ParseError,
+    SizeGuardExceeded,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -212,6 +221,23 @@ class TestExitCodes:
         path.write_text("0 1\n2 3\n")
         assert main(["vuln", str(path)]) == 3
         assert main(["modulus", str(path)]) == 3
+
+    @pytest.mark.parametrize("error, code", [
+        (ParseError(7, "bad line"), 2),
+        (DisconnectedGraphError("not connected"), 3),
+        (SizeGuardExceeded("too large"), 4),
+        (GeneratorError("no sample"), 4),
+        (InvariantViolation("bug"), 5),
+        (FileNotFoundError("no such file"), 2),
+        (GraphError("other"), 1),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+    def test_each_error_class(self, error, code, triangle_file, monkeypatch, capsys):
+        def fail(_g):
+            raise error
+
+        monkeypatch.setattr(cli, "vulnerability", fail)
+        assert main(["vuln", triangle_file]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestBench:

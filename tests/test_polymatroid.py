@@ -6,11 +6,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from treemodulus import polymatroid
 from treemodulus.flow import dinic
-from treemodulus.graph import MultiGraph, _DisjointSet, decompose_after_removal, quotient
+from treemodulus.graph import (
+    MultiGraph,
+    _DisjointSet,
+    decompose_after_removal,
+    quotient,
+    theta_of_set,
+)
 from treemodulus.polymatroid import _merge_set, cunningham_basis
 
 from brute import brute_basis, brute_greedy_pass, graphic_rank, polymatroid_violation
-from conftest import connected_multigraphs, graph_from_pairs
+from conftest import basis_total, connected_multigraphs, graph_from_pairs
 
 
 def spy_dinic(monkeypatch):
@@ -142,11 +148,11 @@ class TestMergeNetwork:
         g = graph_from_pairs(2, [(0, 1)])
         calls = spy_dinic(monkeypatch)
         # at p = q = 1 vertex 1's one edge cannot pay for a merge: no cut
-        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), 1, (0, 1))
+        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), (0, 1))
         assert calls == []
         # at 2/1 the part {0} gets c = 2q - 2p = -2: an arc from vertex 1
         # and no sink arc, so the part joins vertex 1
-        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), 1, (0, 0))
+        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), (0, 0))
         assert calls == [(3, 0, 1, {2: -2}, [], 1)]
 
     def test_incident_sums_on_source_arcs(self, monkeypatch):
@@ -165,7 +171,7 @@ class TestMergeNetwork:
         # them: 6 - 2(1 + 2) = 0 twice and 6 - 2*2 = 2, no arc from vertex 4
         assert calls == [(3, 0, 1, {2: -2}, [], 1)]
         assert result.candidate == frozenset({0, 3, 4, 5})
-        assert result.total == 3 * 1 + 2 * 4
+        assert basis_total(result, 2, 3) == 3 * 1 + 2 * 4
         # at 3/2 every vertex merges with the one part before it
         calls.clear()
         assert cunningham_basis(g, 3, 2).candidate == frozenset()
@@ -233,19 +239,19 @@ class TestMergeSet:
 class TestCunninghamBasis:
     def test_triangle_2_3(self, triangle):
         res = cunningham_basis(triangle, 2, 3)
-        assert res.total == 6 == 3 * (3 - 1)
+        assert basis_total(res, 2, 3) == 6 == 3 * (3 - 1)
         # J = E and J = {} both reach 6: the largest minimizer is E
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_triangle_5_9(self, triangle):
         res = cunningham_basis(triangle, 5, 9)
-        assert res.total == 15 < 18
+        assert basis_total(res, 5, 9) == 15 < 18
         assert res.candidate == frozenset({0, 1, 2})
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
         res = cunningham_basis(g, 1, 1)
-        assert res.total == 1
+        assert basis_total(res, 1, 1) == 1
         assert res.candidate == frozenset({0})
 
     def test_candidate_entries_hit_the_cap(self, bridge_triangles):
@@ -254,13 +260,13 @@ class TestCunninghamBasis:
         # lie in no minimizer
         for p, q in [(1, 2), (2, 3), (1, 1), (3, 4), (3, 2)]:
             res = cunningham_basis(bridge_triangles, p, q)
-            assert (res.total, res.candidate) == brute_basis(bridge_triangles, p, q)
+            assert (basis_total(res, p, q), res.candidate) == brute_basis(bridge_triangles, p, q)
 
     def test_tightness_at_exit(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (5, 7)]:
             res = cunningham_basis(bridge_triangles, p, q)
             tight_set = frozenset(range(bridge_triangles.edge_count)) - res.candidate
-            got = res.total - p * len(res.candidate)
+            got = basis_total(res, p, q) - p * len(res.candidate)
             assert got == q * graphic_rank(bridge_triangles, tight_set)
 
 
@@ -277,7 +283,7 @@ def test_feasible_throughout_and_monotone(g, p, q):
         assert all(x2 >= x1 for x1, x2 in zip(before, after))
         assert polymatroid_violation(g, after, q) is None
         before = after
-    assert sum(before) == res.total
+    assert sum(before) == basis_total(res, p, q)
     assert all(before[e] == p for e in res.candidate)
 
 
@@ -300,7 +306,7 @@ def test_merge_cut_gains_are_even_and_sum_to_the_total(g, p, q):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(polymatroid, "dinic", spy)
-        total = cunningham_basis(g, p, q).total
+        total = basis_total(cunningham_basis(g, p, q), p, q)
     assert all(gain % 2 == 0 and gain <= 0 for gain in gains)
     assert total == p * g.edge_count + sum(gain // 2 for gain in gains)
 
@@ -323,12 +329,12 @@ def relabelled(g, rnd):
 @settings(max_examples=80, deadline=None)
 def test_basis_total_law_and_order_invariance(g, p, q, rnd):
     res = cunningham_basis(g, p, q)
-    assert (res.total, res.candidate) == brute_basis(g, p, q)
+    assert (basis_total(res, p, q), res.candidate) == brute_basis(g, p, q)
     # the sweep visits vertices in id order; the largest minimizer does not
     # depend on it
     other, new_id = relabelled(g, rnd)
     res2 = cunningham_basis(other, p, q)
-    assert res2.total == res.total
+    assert basis_total(res2, p, q) == basis_total(res, p, q)
     assert res2.candidate == frozenset(new_id[e] for e in res.candidate)
 
 
@@ -359,7 +365,7 @@ def test_sweep_needs_no_connectivity(g, p, q):
     # the sweep is defined on any multigraph: on a disconnected one, or a
     # lone vertex, it still gives the brute-force total and largest minimizer
     res = cunningham_basis(g, p, q)
-    assert (res.total, res.candidate) == brute_basis(g, p, q)
+    assert (basis_total(res, p, q), res.candidate) == brute_basis(g, p, q)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=6),
@@ -408,8 +414,29 @@ def test_finest_partition_coarsens_and_the_quotient_sweep_agrees(g, r1, r2):
     assert sub.vertex_count == len(set(low.part))
     run = cunningham_basis(sub, p, q)
     assert frozenset(ids[e] for e in run.candidate) == high.candidate
-    assert q * (g.vertex_count - sub.vertex_count) + run.total == high.total
-    assert (high.total, high.candidate) == brute_basis(g, p, q)
+    contracted = g.vertex_count - sub.vertex_count
+    assert q * contracted + basis_total(run, p, q) == basis_total(high, p, q)
+    assert (basis_total(high, p, q), high.candidate) == brute_basis(g, p, q)
+
+
+@given(connected_multigraphs(max_vertices=7, max_extra=6))
+@example(graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_mean_rate_test_passes_or_hands_its_quotient_a_higher_mean_rate(g):
+    # the step of the ascent in ``vulnerability``: at a graph's own mean
+    # rate (n - 1)/m the test passes, totalling q(n - 1), exactly when its
+    # candidate is every edge; otherwise the quotient by its finest
+    # partition has the candidate's ratio as its mean rate, above (n - 1)/m
+    n, m = g.vertex_count, g.edge_count
+    rate = Fraction(n - 1, m)
+    p, q = rate.numerator, rate.denominator
+    res = cunningham_basis(g, p, q)
+    passes = brute_basis(g, p, q)[0] == q * (n - 1)
+    assert (res.candidate == frozenset(range(m))) == passes
+    if not passes:
+        sub, _ids = quotient(g, res.part, res.candidate)
+        assert Fraction(sub.vertex_count - 1, sub.edge_count) == theta_of_set(g, res.candidate)
+        assert theta_of_set(g, res.candidate) > rate
 
 
 @given(connected_multigraphs(max_vertices=7, max_extra=8),
@@ -457,6 +484,6 @@ def test_total_is_p_m_exactly_when_no_set_is_too_dense(g, p, q):
             for size in range(2, n + 1)
             for part in map(set, combinations(range(n), size))
         )
-        total = cunningham_basis(g, p, q).total
+        total = basis_total(cunningham_basis(g, p, q), p, q)
         assert total == brute_basis(g, p, q)[0]
         assert (total == p * m) == (not dense)

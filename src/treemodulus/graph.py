@@ -194,10 +194,12 @@ def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> tuple[Comp
             _vs, sub_edges, parent_ids = parts[root_of[a]]
             sub_edges.append((local[a], local[b]))
             parent_ids.append(eid)
-    return tuple(
+    # a tuple of a list, as in MultiGraph.incidence: a tuple started from a
+    # generator is resized and freed onto another size's free list
+    return tuple([
         Component(tuple(vs), MultiGraph(len(vs), tuple(es)), tuple(ids))
         for vs, es, ids in parts.values()
-    )
+    ])
 
 
 def quotient(

@@ -1,9 +1,17 @@
-"""Spanning tree modulus by recursive critical-set peeling.
+"""Spanning tree modulus by divide and conquer over rates.
 
-Each round finds the vulnerability and a critical set of the current
-subgraph; the optimal edge-usage probability equals that value on the
-critical edges.  Removing them splits the subgraph, and every nontrivial
-component is processed the same way until all edges are assigned.
+The optimal edge-usage probabilities η are found first, all at once, by
+a work stack of connected graphs.  Each is swept once at its own mean
+rate r = (n - 1)/m (``vulnerability.rise``).  A test that cuts every
+edge makes the graph a leaf: every η in it is r.  Otherwise its parts'
+induced subgraphs, whose η all lie below r, and its quotient, whose η
+all lie above r, go back on the stack.  A tree or a two-vertex bundle is
+a leaf without a test, and the bridges, of rate 1, may be settled first.
+
+The peel trace is then read off the levels, the distinct leaf rates:
+each peel's critical set is its edges at its highest level, and removing
+them splits it into the components peeled next, as in the paper's
+recursive critical-set peeling.
 """
 
 from __future__ import annotations
@@ -11,10 +19,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvariantViolation
-from .graph import MultiGraph, decompose_after_removal
-from .vulnerability import vulnerability
+from .graph import MultiGraph, bridges, decompose_after_removal, require_connected
+from .vulnerability import rise
 
 
 @dataclass(frozen=True)
@@ -38,27 +47,79 @@ class ModulusResult:
 def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
     """Optimal usage probabilities, optimal density and modulus of the
     spanning-tree family, all in exact rationals."""
+    require_connected(g, nontrivial=True)
     m = g.edge_count
+    leaf_of = [-1] * m  # the leaf holding each edge
+    leaf_rates: list[tuple[int, int]] = []  # each leaf's rate as (n - 1, m)
+
+    def settle(ids: Sequence[int], p: int, q: int) -> None:
+        for root_eid in ids:
+            if leaf_of[root_eid] >= 0:
+                raise InvariantViolation(f"edge {root_eid} assigned twice")
+            leaf_of[root_eid] = len(leaf_rates)
+        leaf_rates.append((p, q))
+
+    # connected graphs still to split, each with the root id of each edge
+    work: list[tuple[MultiGraph, Sequence[int]]] = [(g, range(m))]
+    # a bridge lies in every spanning tree, so its rate is 1, and the pieces
+    # left by removing every bridge have none; one search settles them when
+    # a pendant vertex shows there are some, and the sweeps settle the rest
+    cut = bridges(g) if any(len(at) == 1 for at in g.incidence) else ()
+    if cut:
+        settle(cut, 1, 1)
+        work = [(c.graph, c.parent_edge_ids) for c in decompose_after_removal(g, cut)]
+    while work:
+        h, ids = work.pop()
+        n_h, m_h = h.vertex_count, h.edge_count
+        if m_h == 0:
+            continue
+        # a tree or a two-vertex bundle is uniformly dense without a test
+        step = None if n_h == 2 or m_h == n_h - 1 else rise(h)
+        if step is None:
+            settle(ids, n_h - 1, m_h)
+            continue
+        sub, kept = step
+        work.append((sub, [ids[e] for e in kept]))
+        for comp in decompose_after_removal(h, kept):
+            work.append((comp.graph, [ids[e] for e in comp.parent_edge_ids]))
+    if -1 in leaf_of:
+        raise InvariantViolation("splitting finished with unassigned edges")
+    # sorting the distinct rates once hashes a Fraction per leaf, not per edge
+    rates = [Fraction(p, q) for p, q in leaf_rates]
+    levels = sorted(set(rates))
+    rank = {rate: k for k, rate in enumerate(levels)}
+    leaf_level = [rank[rate] for rate in rates]
+    level_of = [leaf_level[k] for k in leaf_of]
+
     peel_of = [-1] * m  # index of the peel that assigned each edge
     trace: list[PeelRecord] = []
-    queue: deque[tuple[MultiGraph, tuple[int, ...], int]] = deque()
-    queue.append((g, tuple(range(m)), -1))
+    queue: deque[tuple[MultiGraph, Sequence[int], int]] = deque()
+    queue.append((g, range(m), -1))
     while queue:
         sub, root_ids, parent_idx = queue.popleft()
-        found = vulnerability(sub)  # rejects a disconnected or trivial root
-        if len(trace) >= m:
-            raise InvariantViolation("peeling did not terminate within |E| rounds")
-        if parent_idx >= 0 and found.theta > trace[parent_idx].theta:
+        top = max(level_of[e] for e in root_ids)
+        theta = levels[top]
+        critical = frozenset(i for i, e in enumerate(root_ids) if level_of[e] == top)
+        comps = decompose_after_removal(sub, critical)
+        # the critical set's ratio, theta_of_set(sub, critical), read off
+        # the components it leaves
+        if Fraction(len(comps) - 1, len(critical)) != theta:
             raise InvariantViolation(
-                f"component vulnerability {found.theta} exceeds parent {trace[parent_idx].theta}"
+                f"extracted set is not critical: theta({sorted(critical)}) != {theta}"
             )
-        critical_root = tuple(sorted(root_ids[e] for e in found.critical))
+        if theta < Fraction(sub.vertex_count - 1, sub.edge_count) or theta > 1:
+            raise InvariantViolation(f"vulnerability {theta} outside its provable range")
+        if parent_idx >= 0 and theta > trace[parent_idx].theta:
+            raise InvariantViolation(
+                f"component vulnerability {theta} exceeds parent {trace[parent_idx].theta}"
+            )
+        critical_root = tuple(sorted(root_ids[e] for e in critical))
         record = PeelRecord(
             index=len(trace),
             parent=parent_idx,
             vertex_count=sub.vertex_count,
             edge_count=sub.edge_count,
-            theta=found.theta,
+            theta=theta,
             critical_edges=critical_root,
         )
         trace.append(record)
@@ -66,10 +127,10 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
             if peel_of[root_eid] >= 0:
                 raise InvariantViolation(f"edge {root_eid} assigned twice")
             peel_of[root_eid] = record.index
-        for comp in decompose_after_removal(sub, found.critical):
+        for comp in comps:
             if not comp.parent_edge_ids:
                 continue
-            if not found.critical.isdisjoint(comp.parent_edge_ids):
+            if not critical.isdisjoint(comp.parent_edge_ids):
                 # a critical set never reaches inside a surviving component
                 raise InvariantViolation("critical set intersects an induced component")
             child_root_ids = tuple(root_ids[pe] for pe in comp.parent_edge_ids)

@@ -8,6 +8,7 @@ so the pipeline's pieces can be pinned against it on small instances.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Sequence
 
 from treemodulus.errors import SizeGuardExceeded
@@ -16,9 +17,12 @@ from treemodulus.graph import (
     MultiGraph,
     _DisjointSet,
     component_count,
+    decompose_after_removal,
     require_connected,
 )
+from treemodulus.modulus import ModulusResult, PeelRecord
 from treemodulus.oracle import _partition_scan, count_spanning_trees
+from treemodulus.vulnerability import vulnerability
 
 ENUMERATION_GUARD = 1_000_000
 MASK_MAX_EDGES = 16
@@ -184,3 +188,31 @@ def _span_rec(
     rest = edges[1:]
     if _connected_labelled(rest, n):
         _span_rec(rest, n, chosen, out)
+
+
+def peeled_modulus(g: MultiGraph) -> ModulusResult:
+    """The modulus by top-down critical-set peeling, as the paper states it:
+    each round finds the vulnerability and the largest critical set of the
+    current subgraph with ``vulnerability``, assigns that value to the
+    critical edges, and queues every component left by removing them."""
+    m = g.edge_count
+    peel_of = [-1] * m
+    trace: list[PeelRecord] = []
+    queue: deque[tuple[MultiGraph, tuple[int, ...], int]] = deque([(g, tuple(range(m)), -1)])
+    while queue:
+        sub, root_ids, parent = queue.popleft()
+        found = vulnerability(sub)
+        critical = tuple(sorted(root_ids[e] for e in found.critical))
+        trace.append(PeelRecord(len(trace), parent, sub.vertex_count, sub.edge_count,
+                                found.theta, critical))
+        for e in critical:
+            assert peel_of[e] == -1
+            peel_of[e] = len(trace) - 1
+        for comp in decompose_after_removal(sub, found.critical):
+            if comp.parent_edge_ids:
+                ids = tuple(root_ids[pe] for pe in comp.parent_edge_ids)
+                queue.append((comp.graph, ids, len(trace) - 1))
+    thetas = [rec.theta for rec in trace]
+    modulus = 1 / sum(theta * theta * len(rec.critical_edges) for theta, rec in zip(thetas, trace))
+    eta = tuple(thetas[k] for k in peel_of)
+    return ModulusResult(eta, tuple(x * modulus for x in eta), modulus, tuple(trace))

@@ -1,16 +1,26 @@
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from treemodulus.errors import DisconnectedGraphError
+import treemodulus.vulnerability  # noqa: F401 - loaded for the module handle below
+from treemodulus.cli import main
+from treemodulus.errors import DisconnectedGraphError, InvariantViolation
 from treemodulus.generators import geometric_graph, gnp_graph
 from treemodulus.graph import MultiGraph
 from treemodulus.modulus import eta_histogram, spanning_tree_modulus
 from treemodulus.oracle import brute_modulus, verify_modulus
+from treemodulus.polymatroid import BasisResult, cunningham_basis
 
+from brute import peeled_modulus
 from conftest import connected_multigraphs, graph_from_pairs
+
+
+# the package re-exports the function under the same name, so fetch the
+# submodule itself for monkeypatching
+vuln_mod = sys.modules["treemodulus.vulnerability"]
 
 
 def cycle(n):
@@ -119,6 +129,55 @@ def test_matches_brute_force_recursion(g):
     assert result.eta == reference.eta
     assert result.modulus == reference.modulus
     check_all(g, result)
+
+
+@given(connected_multigraphs(max_vertices=9, max_extra=8))
+@example(graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]))
+@example(graph_from_pairs(7, [(0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 4), (4, 5),
+                              (5, 3), (5, 6)]))
+@settings(max_examples=300, deadline=None)
+def test_levels_give_the_peeled_result(g):
+    # the whole result, trace order included, equals top-down peeling with
+    # the public vulnerability, on multigraphs with parallel edges and bridges
+    assert spanning_tree_modulus(g) == peeled_modulus(g)
+
+
+@pytest.mark.parametrize("g", [
+    cycle(5),
+    # two triangles joined by a parallel pair: the first test fails, and the
+    # triangles and the quotient are swept next
+    graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)]),
+    # the same with a pendant edge, whose bridge is settled before any test
+    graph_from_pairs(7, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)]),
+], ids=["cycle5", "joined_triangles", "pendant"])
+@pytest.mark.parametrize("fault", ["empty", "no_rise"])
+def test_planted_faulty_sweep_raises(g, fault, monkeypatch, capsys, tmp_path):
+    # a sweep that hands back an empty candidate, or a passing test one edge
+    # short of every edge, whose quotient would not raise the rate: the
+    # strict-rise check raises before any piece is pushed, so the split
+    # neither loops nor sweeps a graph without edges
+    real = cunningham_basis
+    sweeps = []
+
+    def faulty(graph, p, q):
+        sweeps.append(graph)
+        assert len(sweeps) <= g.edge_count, "the split does not stop"
+        run = real(graph, p, q)
+        candidate = run.candidate
+        if fault == "empty":
+            candidate = frozenset()
+        elif len(candidate) == graph.edge_count:
+            candidate = candidate - {min(candidate)}
+        return BasisResult(candidate=candidate, part=run.part)
+
+    monkeypatch.setattr(vuln_mod, "cunningham_basis", faulty)
+    with pytest.raises(InvariantViolation, match="^failed test at "):
+        spanning_tree_modulus(g)
+    path = tmp_path / "g.edges"
+    path.write_text(g.to_edge_list_text())
+    assert main(["modulus", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: failed test at ") and err.count("\n") == 1
 
 
 def eta_digest(eta):

@@ -66,21 +66,32 @@ spec.loader.exec_module(run)
 wl = run.wl
 tm, graphs = wl.build("multilevel", wl.DEFAULT_SEED)
 checker = run.Checker("multilevel", wl.DEFAULT_SEED)
+peels = []
+check = checker.check
+
+def counting_check(index, g, result):
+    peels.append(len(result.trace))
+    return check(index, g, result)
+
+checker.check = counting_check
 tracer, _seconds, failed = run.traced_pass(tm, graphs[: run.TRACE_GRAPHS["multilevel"]], checker)
 print(json.dumps({
     "failed": failed,
     "failures": checker.failures,
     "missing": tracer.missing,
     "counts": tracer.counts(),
+    "peels": sum(peels),
 }))
 """
 
 
 def test_traced_multilevel_pass_counts():
     # the --trace 1 path of perfbench/run.py on its multilevel trace set;
-    # the counts are those of the contracted-ascent benchmark point,
-    # BENCH_15.json: every probe of a bridgeless peel is one sweep, each
-    # after a peel's first on the quotient by the previous probe's parts
+    # the counts are those of the rate divide-and-conquer benchmark point,
+    # BENCH_21.json: every graph is swept once at its mean rate and splits
+    # into its parts and its quotient.  modulus no longer calls
+    # vulnerability, so the tracer's peel hook finds nothing to wrap and
+    # the peels are counted from each result's trace
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_CHILD, str(PERFBENCH)],
         capture_output=True,
@@ -90,8 +101,8 @@ def test_traced_multilevel_pass_counts():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["failed"] == 0, report["failures"]
-    assert report["missing"] == []
+    assert report["missing"] == ["modulus.vulnerability"]
     counts = report["counts"]
-    assert (counts["graphs"], counts["peels"], counts["passes"]) == (10, 69, 111)
-    assert counts["mincuts"] == 498
+    assert (counts["graphs"], report["peels"], counts["passes"]) == (10, 69, 67)
+    assert counts["mincuts"] == 337
     assert counts["fallbacks"] == 0

@@ -423,7 +423,7 @@ def test_finest_partition_coarsens_and_the_quotient_sweep_agrees(g, r1, r2):
 @example(graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)]))
 @settings(max_examples=80, deadline=None)
 def test_mean_rate_test_passes_or_hands_its_quotient_a_higher_mean_rate(g):
-    # the step of the ascent in ``vulnerability``: at a graph's own mean
+    # the step ``vulnerability.rise`` takes: at a graph's own mean
     # rate (n - 1)/m the test passes, totalling q(n - 1), exactly when its
     # candidate is every edge; otherwise the quotient by its finest
     # partition has the candidate's ratio as its mean rate, above (n - 1)/m

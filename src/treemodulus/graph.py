@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DisconnectedGraphError, ParseError
+from .errors import DisconnectedGraphError, InvariantViolation, ParseError
 
 EdgeSubset = frozenset[int]
 
@@ -203,21 +203,21 @@ def decompose_after_removal(g: MultiGraph, removed: Iterable[int]) -> tuple[Comp
 
 
 def quotient(
-    g: MultiGraph, part: Sequence[int], kept: Iterable[int]
+    g: MultiGraph, pieces: Sequence[Component], cut: Iterable[int]
 ) -> tuple[MultiGraph, tuple[int, ...]]:
-    """The graph with each part of a vertex partition made one vertex.
+    """The graph with each piece made one vertex, in piece order.
 
-    ``part[v]`` labels v's part; parts are numbered in order of their
-    smallest member.  The quotient's edges are ``kept``, in id order, and
-    each must join two parts.  Returns the quotient and the id in ``g`` of
-    each of its edges.
+    ``pieces`` are what ``decompose_after_removal(g, cut)`` leaves.  The
+    quotient's edges are ``cut``, in id order, and each must join two
+    pieces.  Returns the quotient and the id in ``g`` of each of its edges.
     """
-    index: dict[int, int] = {}
-    for label in part:
-        index.setdefault(label, len(index))
-    ids = tuple(sorted(kept))
-    edges = tuple([(index[part[a]], index[part[b]]) for a, b in (g.edges[e] for e in ids)])
-    return MultiGraph(len(index), edges), ids
+    piece_of = {v: index for index, piece in enumerate(pieces) for v in piece.vertices}
+    ids = tuple(sorted(cut))
+    edges = tuple([(piece_of[a], piece_of[b]) for a, b in (g.edges[e] for e in ids)])
+    for e, (a, b) in zip(ids, edges):
+        if a == b:
+            raise InvariantViolation(f"cut edge {e} lies inside one piece")
+    return MultiGraph(len(pieces), edges), ids
 
 
 def bridges(g: MultiGraph) -> EdgeSubset:

@@ -78,9 +78,9 @@ def spanning_tree_modulus(g: MultiGraph) -> ModulusResult:
         if step is None:
             settle(ids, n_h - 1, m_h)
             continue
-        sub, kept = step
+        sub, kept, pieces = step
         work.append((sub, [ids[e] for e in kept]))
-        for comp in decompose_after_removal(h, kept):
+        for comp in pieces:
             work.append((comp.graph, [ids[e] for e in comp.parent_edge_ids]))
     if -1 in leaf_of:
         raise InvariantViolation("splitting finished with unassigned edges")

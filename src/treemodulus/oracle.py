@@ -7,7 +7,7 @@ can be pinned against it; the test-only ones live in ``tests/brute.py``.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -138,16 +138,21 @@ def count_spanning_trees(g: MultiGraph) -> int:
     return sign * lap[dim - 1][dim - 1]
 
 
-def minimum_spanning_weight(g: MultiGraph, weights: Sequence[Fraction]) -> Fraction:
-    """Exact-rational minimum spanning tree weight (Kruskal)."""
+def minimum_spanning_weight(
+    g: MultiGraph, values: Sequence[Fraction], group_of: Sequence[int]
+) -> Fraction:
+    """Exact-rational minimum spanning tree weight (Kruskal) when edge e
+    weighs ``values[group_of[e]]``.  Edges are ordered by their value's
+    rank, ties by id, and the tree's weight is summed once per value."""
     require_connected(g)
+    rank = {k: r for r, k in enumerate(sorted(range(len(values)), key=values.__getitem__))}
     dsu = _DisjointSet(g.vertex_count)
-    total = Fraction(0)
-    for eid in sorted(range(g.edge_count), key=lambda e: (weights[e], e)):
+    taken = [0] * len(values)
+    for eid in sorted(range(g.edge_count), key=[rank[k] for k in group_of].__getitem__):
         a, b = g.edges[eid]
         if dsu.union(a, b):
-            total += weights[eid]
-    return total
+            taken[group_of[eid]] += 1
+    return sum((value * count for value, count in zip(values, taken)), Fraction(0))
 
 
 def brute_modulus(g: MultiGraph) -> ModulusResult:
@@ -208,47 +213,41 @@ class ModulusReport:
 
 
 def verify_modulus(g: MultiGraph, result: ModulusResult) -> ModulusReport:
-    """Exact-arithmetic consistency report for a modulus result."""
+    """Exact-arithmetic consistency report for a modulus result.
+
+    Every sum and range check runs once per distinct usage probability,
+    and the minimum tree ranks those values, so no Fraction is added or
+    multiplied per edge.
+    """
     n = g.vertex_count
     eta = result.eta
-    energy = sum(value * value for value in eta)
-    entries = []
-
-    total = sum(eta)
-    entries.append(
-        CheckEntry("usage-sum", total == n - 1, f"sum(eta) = {total}, expected {n - 1}")
-    )
-    entries.append(
+    # the distinct values, in order of first appearance, and each edge's one
+    index: dict[Fraction, int] = {}
+    group_of = [index.setdefault(value, len(index)) for value in eta]
+    values = list(index)
+    counts = Counter(group_of)
+    total = sum(values[k] * count for k, count in counts.items())
+    energy = sum(values[k] * values[k] * count for k, count in counts.items())
+    density = [value * result.modulus for value in values]
+    bad_bridges = [b for b in sorted(bridges(g)) if eta[b] != 1]
+    mst = minimum_spanning_weight(g, values, group_of)
+    return ModulusReport((
+        CheckEntry("usage-sum", total == n - 1, f"sum(eta) = {total}, expected {n - 1}"),
         CheckEntry(
             "normalization",
             result.modulus * energy == 1,
             f"modulus * sum(eta^2) = {result.modulus * energy}",
-        )
-    )
-    entries.append(
+        ),
         CheckEntry(
             "density-ratio",
-            all(result.rho[e] == eta[e] * result.modulus for e in range(len(eta))),
+            all(rho == density[k] for rho, k in zip(result.rho, group_of, strict=True)),
             "rho must equal eta * modulus on every edge",
-        )
-    )
-    entries.append(
+        ),
         CheckEntry(
-            "usage-range",
-            all(0 < value <= 1 for value in eta),
-            "every eta must lie in (0, 1]",
-        )
-    )
-    bad_bridges = [b for b in sorted(bridges(g)) if eta[b] != 1]
-    entries.append(
-        CheckEntry("bridge-usage", not bad_bridges, f"bridges with eta != 1: {bad_bridges}")
-    )
-    mst = minimum_spanning_weight(g, eta)
-    entries.append(
+            "usage-range", all(0 < value <= 1 for value in values), "every eta must lie in (0, 1]"
+        ),
+        CheckEntry("bridge-usage", not bad_bridges, f"bridges with eta != 1: {bad_bridges}"),
         CheckEntry(
-            "mst-energy",
-            mst == energy,
-            f"minimum tree weight {mst} vs sum(eta^2) {energy}",
-        )
-    )
-    return ModulusReport(tuple(entries))
+            "mst-energy", mst == energy, f"minimum tree weight {mst} vs sum(eta^2) {energy}"
+        ),
+    ))

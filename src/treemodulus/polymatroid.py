@@ -14,34 +14,22 @@ graph induced by the vertices seen so far: the optimum on the first k + 1
 vertices merges vertex k with some parts of the optimum on the first k
 and keeps every other part, and which parts is one min-cut on the graph
 those parts contract to.  Taking the minimal source side at every step
-keeps the finest optimum, whose cut is the largest minimizing J.
+keeps the finest optimum, whose cut is the largest minimizing J.  That
+cut is all the test hands back: the parts are the connected pieces that
+removing it leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .flow import dinic
 from .graph import EdgeSubset, MultiGraph
 
 
-@dataclass(frozen=True)
-class BasisResult:
-    """Outcome of one threshold test at rate p/q.
-
-    ``part`` labels each vertex with its part in the finest partition
-    minimizing q(n - |P|) + p|cut|, a label being the id of one member of
-    the part, and ``candidate`` is its cut: the largest edge set J that
-    minimizes p|J| + q r(E - J).
-    """
-
-    candidate: EdgeSubset
-    part: tuple[int, ...]
-
-
-def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
-    """The threshold test at rate p/q, with at most one min-cut per vertex.
+def cunningham_basis(g: MultiGraph, p: int, q: int) -> EdgeSubset:
+    """The threshold test at rate p/q, with at most one min-cut per vertex:
+    the cut of the finest partition, the largest J minimizing p|J| + q r(E - J).
 
     The sweep is defined on any multigraph, connected or not; callers that
     need a connected graph check it themselves.  Among the vertices swept
@@ -88,8 +76,7 @@ def cunningham_basis(g: MultiGraph, p: int, q: int) -> BasisResult:
             side[label] = count
         links[label] = joined
         degree[label] = sum(joined.values())
-    candidate = frozenset(e for e, (a, b) in enumerate(edges) if part[a] != part[b])
-    return BasisResult(candidate=candidate, part=tuple(part))
+    return frozenset(e for e, (a, b) in enumerate(edges) if part[a] != part[b])
 
 
 def _merge_set(

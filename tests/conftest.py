@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from treemodulus.graph import MultiGraph, parse_edge_list
+from treemodulus.graph import MultiGraph, decompose_after_removal, parse_edge_list
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,10 +14,10 @@ def graph_from_pairs(n, pairs):
     return MultiGraph(n, tuple(tuple(e) for e in pairs))
 
 
-def basis_total(res, p, q):
-    """What a threshold test's result totals, min over J of p|J| + q r(E - J):
-    q(n - |P|) + p|cut| for its finest partition P, whose cut is the candidate."""
-    return q * (len(res.part) - len(set(res.part))) + p * len(res.candidate)
+def basis_total(g, cut, p, q):
+    """What a threshold test's cut totals, min over J of p|J| + q r(E - J):
+    q(n - |P|) + p|cut| for its finest partition P, the pieces the cut leaves."""
+    return q * (g.vertex_count - len(decompose_after_removal(g, cut))) + p * len(cut)
 
 
 @pytest.fixture

@@ -119,3 +119,28 @@ def test_src_holds_no_test_only_code():
         for module, _stmt in places
     )
     assert not offenders, f"src/ code that no caller outside tests/ reaches: {offenders}"
+    # a dataclass field is reached only when code outside tests/ reads it
+    # as an attribute; setting it through the constructor does not count
+    sources = [
+        *(ROOT / "src" / "treemodulus").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+    ]
+    reads = {
+        sub.attr
+        for path in sources
+        for sub in ast.walk(ast.parse(path.read_text()))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{module}.{name}.{field.target.id}"
+        for name, places in defined.items()
+        for module, stmt in places
+        if isinstance(stmt, ast.ClassDef) and any(
+            "dataclass" in identifiers(decorator) for decorator in stmt.decorator_list
+        )
+        for field in stmt.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in reads
+    )
+    assert not unread, f"dataclass fields that no code outside tests/ reads: {unread}"

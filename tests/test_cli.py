@@ -191,9 +191,6 @@ class TestCheck:
     def test_guard_exceeded(self, capsys):
         assert main(["check", str(FIXTURES / "karate.edges")]) == 4
 
-    def test_guard_can_be_raised(self, bridge_file, capsys):
-        assert main(["check", bridge_file, "--max-edges-check", "7"]) == 0
-
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):

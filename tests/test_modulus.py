@@ -12,7 +12,7 @@ from treemodulus.generators import geometric_graph, gnp_graph
 from treemodulus.graph import MultiGraph
 from treemodulus.modulus import eta_histogram, spanning_tree_modulus
 from treemodulus.oracle import brute_modulus, verify_modulus
-from treemodulus.polymatroid import BasisResult, cunningham_basis
+from treemodulus.polymatroid import cunningham_basis
 
 from brute import peeled_modulus
 from conftest import connected_multigraphs, graph_from_pairs
@@ -142,42 +142,62 @@ def test_levels_give_the_peeled_result(g):
     assert spanning_tree_modulus(g) == peeled_modulus(g)
 
 
-@pytest.mark.parametrize("g", [
-    cycle(5),
+def three_k5s():
+    # three K5s joined in a path by single edges: the first test cuts
+    # those two edges and leaves the three K5s
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    edges = [(a + 5 * i, b + 5 * i) for i in range(3) for a, b in k5]
+    return graph_from_pairs(15, edges + [(4, 5), (9, 10)])
+
+
+FAULT_GRAPHS = [
+    ("cycle5", cycle(5)),
     # two triangles joined by a parallel pair: the first test fails, and the
     # triangles and the quotient are swept next
-    graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)]),
+    ("joined_triangles", graph_from_pairs(
+        6, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3)])),
     # the same with a pendant edge, whose bridge is settled before any test
-    graph_from_pairs(7, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)]),
-], ids=["cycle5", "joined_triangles", "pendant"])
-@pytest.mark.parametrize("fault", ["empty", "no_rise"])
-def test_planted_faulty_sweep_raises(g, fault, monkeypatch, capsys, tmp_path):
+    ("pendant", graph_from_pairs(
+        7, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6)])),
+]
+
+
+@pytest.mark.parametrize("fault, g, message", [
+    *(pytest.param(fault, g, "failed test at ", id=f"{fault}-{name}")
+      for fault in ["empty", "no_rise"] for name, g in FAULT_GRAPHS),
+    pytest.param("inside", three_k5s(), "cut edge 0 lies inside one piece", id="inside-three_k5s"),
+])
+def test_planted_faulty_sweep_raises(fault, g, message, monkeypatch, capsys, tmp_path):
     # a sweep that hands back an empty candidate, or a passing test one edge
     # short of every edge, whose quotient would not raise the rate: the
     # strict-rise check raises before any piece is pushed, so the split
-    # neither loops nor sweeps a graph without edges
+    # neither loops nor sweeps a graph without edges.  A failing test whose
+    # cut gains an edge inside a piece still raises the rate, and building
+    # the quotient raises instead
     real = cunningham_basis
     sweeps = []
 
     def faulty(graph, p, q):
         sweeps.append(graph)
         assert len(sweeps) <= g.edge_count, "the split does not stop"
-        run = real(graph, p, q)
-        candidate = run.candidate
+        cut = real(graph, p, q)
+        every = frozenset(range(graph.edge_count))
         if fault == "empty":
-            candidate = frozenset()
-        elif len(candidate) == graph.edge_count:
-            candidate = candidate - {min(candidate)}
-        return BasisResult(candidate=candidate, part=run.part)
+            return frozenset()
+        if fault == "no_rise" and cut == every:
+            return cut - {min(cut)}
+        if fault == "inside" and cut != every:
+            return cut | {min(every - cut)}
+        return cut
 
     monkeypatch.setattr(vuln_mod, "cunningham_basis", faulty)
-    with pytest.raises(InvariantViolation, match="^failed test at "):
+    with pytest.raises(InvariantViolation, match=f"^{message}"):
         spanning_tree_modulus(g)
     path = tmp_path / "g.edges"
     path.write_text(g.to_edge_list_text())
     assert main(["modulus", str(path)]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: failed test at ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def eta_digest(eta):

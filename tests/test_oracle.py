@@ -181,8 +181,12 @@ class TestVerifyModulus:
         assert not report.all_passed
 
     def test_mst_weight_exact(self, bridge_triangles):
-        weights = [Fraction(1, 3)] * 7
-        assert minimum_spanning_weight(bridge_triangles, weights) == Fraction(5, 3)
+        one_third = [Fraction(1, 3)]
+        assert minimum_spanning_weight(bridge_triangles, one_third, [0] * 7) == Fraction(5, 3)
+        # edges are taken by their value's rank, not by its first appearance:
+        # both triangles' 1/4 edges and the bridge
+        values, group_of = [Fraction(1, 2), Fraction(1, 4)], [0, 1, 1, 0, 0, 1, 1]
+        assert minimum_spanning_weight(bridge_triangles, values, group_of) == Fraction(3, 2)
 
 
 class TestBruteModulus:

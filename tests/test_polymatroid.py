@@ -148,11 +148,11 @@ class TestMergeNetwork:
         g = graph_from_pairs(2, [(0, 1)])
         calls = spy_dinic(monkeypatch)
         # at p = q = 1 vertex 1's one edge cannot pay for a merge: no cut
-        assert cunningham_basis(g, 1, 1) == polymatroid.BasisResult(frozenset({0}), (0, 1))
+        assert cunningham_basis(g, 1, 1) == frozenset({0})
         assert calls == []
         # at 2/1 the part {0} gets c = 2q - 2p = -2: an arc from vertex 1
         # and no sink arc, so the part joins vertex 1
-        assert cunningham_basis(g, 2, 1) == polymatroid.BasisResult(frozenset(), (0, 0))
+        assert cunningham_basis(g, 2, 1) == frozenset()
         assert calls == [(3, 0, 1, {2: -2}, [], 1)]
 
     def test_incident_sums_on_source_arcs(self, monkeypatch):
@@ -162,7 +162,7 @@ class TestMergeNetwork:
         # and to the sink when positive
         g = graph_from_pairs(5, [(0, 1), (1, 2), (1, 2), (2, 3), (4, 0), (4, 3)])
         calls = spy_dinic(monkeypatch)
-        result = cunningham_basis(g, 2, 3)
+        cut = cunningham_basis(g, 2, 3)
         # vertex 1 and vertex 3 have one edge back, 2 <= q: no cut.  Vertex
         # 2 sees part {1} twice and through it part {0}, whose one edge
         # cannot pay for a merge (2 * 1 <= q), so it stays out of the
@@ -170,11 +170,11 @@ class TestMergeNetwork:
         # side.  Vertex 4 sees {0} and {3} once each and {1, 2} through
         # them: 6 - 2(1 + 2) = 0 twice and 6 - 2*2 = 2, no arc from vertex 4
         assert calls == [(3, 0, 1, {2: -2}, [], 1)]
-        assert result.candidate == frozenset({0, 3, 4, 5})
-        assert basis_total(result, 2, 3) == 3 * 1 + 2 * 4
+        assert cut == frozenset({0, 3, 4, 5})
+        assert basis_total(g, cut, 2, 3) == 3 * 1 + 2 * 4
         # at 3/2 every vertex merges with the one part before it
         calls.clear()
-        assert cunningham_basis(g, 3, 2).candidate == frozenset()
+        assert cunningham_basis(g, 3, 2) == frozenset()
         assert [call[3] for call in calls] == [{2: -2}, {2: -8}, {2: -2}, {2: -8}]
 
 
@@ -238,35 +238,37 @@ class TestMergeSet:
 
 class TestCunninghamBasis:
     def test_triangle_2_3(self, triangle):
-        res = cunningham_basis(triangle, 2, 3)
-        assert basis_total(res, 2, 3) == 6 == 3 * (3 - 1)
+        cut = cunningham_basis(triangle, 2, 3)
+        assert basis_total(triangle, cut, 2, 3) == 6 == 3 * (3 - 1)
         # J = E and J = {} both reach 6: the largest minimizer is E
-        assert res.candidate == frozenset({0, 1, 2})
+        assert cut == frozenset({0, 1, 2})
 
     def test_triangle_5_9(self, triangle):
-        res = cunningham_basis(triangle, 5, 9)
-        assert basis_total(res, 5, 9) == 15 < 18
-        assert res.candidate == frozenset({0, 1, 2})
+        cut = cunningham_basis(triangle, 5, 9)
+        assert basis_total(triangle, cut, 5, 9) == 15 < 18
+        assert cut == frozenset({0, 1, 2})
 
     def test_single_edge(self):
         g = graph_from_pairs(2, [(0, 1)])
-        res = cunningham_basis(g, 1, 1)
-        assert basis_total(res, 1, 1) == 1
-        assert res.candidate == frozenset({0})
+        cut = cunningham_basis(g, 1, 1)
+        assert basis_total(g, cut, 1, 1) == 1
+        assert cut == frozenset({0})
 
     def test_candidate_entries_hit_the_cap(self, bridge_triangles):
         # a greedy pass raises every edge of a minimizing J to its cap p,
         # so the candidate must minimize, and every edge outside it must
         # lie in no minimizer
         for p, q in [(1, 2), (2, 3), (1, 1), (3, 4), (3, 2)]:
-            res = cunningham_basis(bridge_triangles, p, q)
-            assert (basis_total(res, p, q), res.candidate) == brute_basis(bridge_triangles, p, q)
+            cut = cunningham_basis(bridge_triangles, p, q)
+            assert (basis_total(bridge_triangles, cut, p, q), cut) == brute_basis(
+                bridge_triangles, p, q
+            )
 
     def test_tightness_at_exit(self, bridge_triangles):
         for p, q in [(1, 2), (2, 3), (5, 7)]:
-            res = cunningham_basis(bridge_triangles, p, q)
-            tight_set = frozenset(range(bridge_triangles.edge_count)) - res.candidate
-            got = basis_total(res, p, q) - p * len(res.candidate)
+            cut = cunningham_basis(bridge_triangles, p, q)
+            tight_set = frozenset(range(bridge_triangles.edge_count)) - cut
+            got = basis_total(bridge_triangles, cut, p, q) - p * len(cut)
             assert got == q * graphic_rank(bridge_triangles, tight_set)
 
 
@@ -277,14 +279,14 @@ def test_feasible_throughout_and_monotone(g, p, q):
     # Cunningham's greedy pass, by brute force: every vector lies in the
     # polymatroid of q times the rank and none falls; it ends at the
     # sweep's total, with every edge of the candidate raised to the cap p
-    res = cunningham_basis(g, p, q)
+    cut = cunningham_basis(g, p, q)
     before = [0] * g.edge_count
     for after in brute_greedy_pass(g, p, q):
         assert all(x2 >= x1 for x1, x2 in zip(before, after))
         assert polymatroid_violation(g, after, q) is None
         before = after
-    assert sum(before) == basis_total(res, p, q)
-    assert all(before[e] == p for e in res.candidate)
+    assert sum(before) == basis_total(g, cut, p, q)
+    assert all(before[e] == p for e in cut)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=4),
@@ -306,7 +308,7 @@ def test_merge_cut_gains_are_even_and_sum_to_the_total(g, p, q):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(polymatroid, "dinic", spy)
-        total = basis_total(cunningham_basis(g, p, q), p, q)
+        total = basis_total(g, cunningham_basis(g, p, q), p, q)
     assert all(gain % 2 == 0 and gain <= 0 for gain in gains)
     assert total == p * g.edge_count + sum(gain // 2 for gain in gains)
 
@@ -328,14 +330,14 @@ def relabelled(g, rnd):
        st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_basis_total_law_and_order_invariance(g, p, q, rnd):
-    res = cunningham_basis(g, p, q)
-    assert (basis_total(res, p, q), res.candidate) == brute_basis(g, p, q)
+    cut = cunningham_basis(g, p, q)
+    assert (basis_total(g, cut, p, q), cut) == brute_basis(g, p, q)
     # the sweep visits vertices in id order; the largest minimizer does not
     # depend on it
     other, new_id = relabelled(g, rnd)
-    res2 = cunningham_basis(other, p, q)
-    assert basis_total(res2, p, q) == basis_total(res, p, q)
-    assert res2.candidate == frozenset(new_id[e] for e in res.candidate)
+    cut2 = cunningham_basis(other, p, q)
+    assert basis_total(other, cut2, p, q) == basis_total(g, cut, p, q)
+    assert cut2 == frozenset(new_id[e] for e in cut)
 
 
 @st.composite
@@ -364,8 +366,8 @@ def disconnected_multigraphs(draw):
 def test_sweep_needs_no_connectivity(g, p, q):
     # the sweep is defined on any multigraph: on a disconnected one, or a
     # lone vertex, it still gives the brute-force total and largest minimizer
-    res = cunningham_basis(g, p, q)
-    assert (basis_total(res, p, q), res.candidate) == brute_basis(g, p, q)
+    cut = cunningham_basis(g, p, q)
+    assert (basis_total(g, cut, p, q), cut) == brute_basis(g, p, q)
 
 
 @given(connected_multigraphs(max_vertices=6, max_extra=6),
@@ -373,17 +375,13 @@ def test_sweep_needs_no_connectivity(g, p, q):
 @settings(max_examples=60, deadline=None)
 def test_candidate_splits_into_connected_parts(g, p, q):
     # the candidate is exactly the cut of the parts it leaves, so removing
-    # it keeps every other edge inside a connected part, and those parts
-    # are the ones ``part`` labels, each by one of its members
-    res = cunningham_basis(g, p, q)
-    candidate = res.candidate
+    # it keeps every other edge inside a connected part
+    candidate = cunningham_basis(g, p, q)
     inside = set()
     for comp in decompose_after_removal(g, candidate):
         assert comp.graph.is_connected()
         assert candidate.isdisjoint(comp.parent_edge_ids)
         inside.update(comp.parent_edge_ids)
-        assert {res.part[v] for v in comp.vertices} <= set(comp.vertices)
-        assert len({res.part[v] for v in comp.vertices}) == 1
     assert inside == set(range(g.edge_count)) - candidate
 
 
@@ -407,16 +405,19 @@ def test_finest_partition_coarsens_and_the_quotient_sweep_agrees(g, r1, r2):
     p, q = r2.numerator, r2.denominator
     low = cunningham_basis(g, r1.numerator, r1.denominator)
     high = cunningham_basis(g, p, q)
-    # a label is a member of its part, so v shares a part at r2 with the
-    # member that labels its part at r1
-    assert all(high.part[v] == high.part[low.part[v]] for v in range(g.vertex_count))
-    sub, ids = quotient(g, low.part, low.candidate)
-    assert sub.vertex_count == len(set(low.part))
+    # every piece at r1 lies inside one piece at r2
+    low_pieces = decompose_after_removal(g, low)
+    high_pieces = decompose_after_removal(g, high)
+    piece_at_r2 = {v: i for i, piece in enumerate(high_pieces) for v in piece.vertices}
+    for piece in low_pieces:
+        assert len({piece_at_r2[v] for v in piece.vertices}) == 1
+    sub, ids = quotient(g, low_pieces, low)
+    assert sub.vertex_count == len(low_pieces)
     run = cunningham_basis(sub, p, q)
-    assert frozenset(ids[e] for e in run.candidate) == high.candidate
+    assert frozenset(ids[e] for e in run) == high
     contracted = g.vertex_count - sub.vertex_count
-    assert q * contracted + basis_total(run, p, q) == basis_total(high, p, q)
-    assert (basis_total(high, p, q), high.candidate) == brute_basis(g, p, q)
+    assert q * contracted + basis_total(sub, run, p, q) == basis_total(g, high, p, q)
+    assert (basis_total(g, high, p, q), high) == brute_basis(g, p, q)
 
 
 @given(connected_multigraphs(max_vertices=7, max_extra=6))
@@ -430,13 +431,13 @@ def test_mean_rate_test_passes_or_hands_its_quotient_a_higher_mean_rate(g):
     n, m = g.vertex_count, g.edge_count
     rate = Fraction(n - 1, m)
     p, q = rate.numerator, rate.denominator
-    res = cunningham_basis(g, p, q)
+    cut = cunningham_basis(g, p, q)
     passes = brute_basis(g, p, q)[0] == q * (n - 1)
-    assert (res.candidate == frozenset(range(m))) == passes
+    assert (cut == frozenset(range(m))) == passes
     if not passes:
-        sub, _ids = quotient(g, res.part, res.candidate)
-        assert Fraction(sub.vertex_count - 1, sub.edge_count) == theta_of_set(g, res.candidate)
-        assert theta_of_set(g, res.candidate) > rate
+        sub, _ids = quotient(g, decompose_after_removal(g, cut), cut)
+        assert Fraction(sub.vertex_count - 1, sub.edge_count) == theta_of_set(g, cut)
+        assert theta_of_set(g, cut) > rate
 
 
 @given(connected_multigraphs(max_vertices=7, max_extra=8),
@@ -484,6 +485,6 @@ def test_total_is_p_m_exactly_when_no_set_is_too_dense(g, p, q):
             for size in range(2, n + 1)
             for part in map(set, combinations(range(n), size))
         )
-        total = basis_total(cunningham_basis(g, p, q), p, q)
+        total = basis_total(g, cunningham_basis(g, p, q), p, q)
         assert total == brute_basis(g, p, q)[0]
         assert (total == p * m) == (not dense)
